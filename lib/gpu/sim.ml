@@ -5,7 +5,34 @@
     pipelines each contribute time, stages overlap memory and compute
     according to whether §6.5 pipelining was applied, kernel launches and
     grid synchronizations cost fixed latencies, and every quantity is
-    recorded in Nsight-style {!Counters}. *)
+    recorded in Nsight-style {!Counters}.
+
+    Each stage is evaluated exactly once ({!eval_kernel}); that one pass
+    yields both the counters and the replay profile the multi-stream
+    engine {!Multi} executes.  A mega-kernel task graph ({!run_mega}) is
+    dependency-gated tasks sharing one device, so it runs on a private
+    {!Multi} engine rather than on an engine of its own. *)
+
+(** One stage of a kernel as the multi-stream scheduler sees it: its solo
+    execution time (exactly what {!run_stage} computes for a lone program)
+    plus its standing resource claims — how many SMs its resident blocks
+    occupy and what fraction of peak DRAM bandwidth it consumes when it has
+    the device to itself. *)
+type stage_profile = {
+  sp_label : string;
+  sp_us : float;       (** solo stage time, grid syncs included *)
+  sp_demand : int;     (** SMs occupied by the resident grid *)
+  sp_bw_frac : float;  (** solo DRAM bandwidth as a fraction of device peak *)
+  sp_mem_frac : float; (** fraction of [sp_us] attributable to DRAM traffic *)
+}
+
+type kernel_profile = {
+  kp_name : string;
+  kp_launch_us : float;
+  kp_cooperative : bool;  (** grid-synchronizing: whole grid stays resident *)
+  kp_stages : stage_profile list;
+  kp_solo_us : float;     (** launch + stages: the kernel's [kcounters.time_us] *)
+}
 
 type kernel_result = {
   kernel : Kernel_ir.kernel;
@@ -20,6 +47,10 @@ type result = {
   total : Counters.t;
   total_compute_us : float;
   total_memory_us : float;
+  profiles : kernel_profile list;
+      (** what {!Multi} replays: one profile per kernel, or the single
+          persistent kernel of a task graph.  An uncontended stream over
+          them finishes at exactly [total.time_us]. *)
 }
 
 (* Shared memory streams at roughly 10x the DRAM rate on A100. *)
@@ -131,26 +162,65 @@ let run_stage (dev : Device.t) ~(waves : int) ~(kernel_grid : int)
     se_dram_us = dram_us +. atomic_us;
   }
 
-let run_kernel (dev : Device.t) (k : Kernel_ir.kernel) : kernel_result =
+(** Evaluate every stage of [k] once, accumulating its counters and its
+    replay profile together.  [~launch:false] drops the launch charge: a
+    mega-kernel task runs inside an already-launched persistent kernel. *)
+let eval_kernel (dev : Device.t) ~launch (k : Kernel_ir.kernel) :
+    kernel_result * kernel_profile =
+  let launch_us = if launch then dev.Device.kernel_launch_us else 0. in
   let c = Counters.create () in
-  c.Counters.kernel_launches <- 1;
-  c.Counters.launch_us <- dev.Device.kernel_launch_us;
-  c.Counters.time_us <- dev.Device.kernel_launch_us;
-  let waves =
-    Occupancy.waves dev (Kernel_ir.usage k) ~grid_blocks:k.Kernel_ir.grid_blocks
+  if launch then begin
+    c.Counters.kernel_launches <- 1;
+    c.Counters.launch_us <- launch_us
+  end;
+  c.Counters.time_us <- launch_us;
+  let u = Kernel_ir.usage k in
+  let grid = k.Kernel_ir.grid_blocks in
+  let waves = Occupancy.waves dev u ~grid_blocks:grid in
+  let bps = Occupancy.blocks_per_sm dev u in
+  (* SMs hosting the kernel's resident blocks: a grid larger than one wave
+     keeps the whole device busy cycling waves; a small grid (or a
+     cooperative launch, whose entire grid must stay resident between
+     grid.syncs) pins down only the SMs it actually needs.  Vendor library
+     calls pick their own device-wide parallelization. *)
+  let demand =
+    if k.Kernel_ir.library_call || bps <= 0 then dev.Device.num_sms
+    else min dev.Device.num_sms ((max 1 grid + bps - 1) / bps)
   in
   let compute_us = ref 0. and memory_us = ref 0. in
-  List.iter
-    (fun s ->
-      let ev =
-        run_stage dev ~waves ~kernel_grid:k.Kernel_ir.grid_blocks
-          ~library_call:k.Kernel_ir.library_call s c
-      in
-      match ev.se_kind with
-      | `Compute -> compute_us := !compute_us +. ev.se_us
-      | `Memory -> memory_us := !memory_us +. ev.se_us)
-    k.Kernel_ir.stages;
-  { kernel = k; kcounters = c; compute_us = !compute_us; memory_us = !memory_us }
+  let stages =
+    List.map
+      (fun (s : Kernel_ir.stage) ->
+        let ev =
+          run_stage dev ~waves ~kernel_grid:grid
+            ~library_call:k.Kernel_ir.library_call s c
+        in
+        (match ev.se_kind with
+        | `Compute -> compute_us := !compute_us +. ev.se_us
+        | `Memory -> memory_us := !memory_us +. ev.se_us);
+        {
+          sp_label = s.Kernel_ir.label;
+          sp_us = ev.se_us;
+          sp_demand = demand;
+          sp_bw_frac =
+            (if ev.se_us <= 0. then 0.
+             else
+               float_of_int ev.se_dram_bytes
+               /. (dev.Device.dram_bw_gbps *. 1e3 *. ev.se_us));
+          sp_mem_frac =
+            (if ev.se_us <= 0. then 0.
+             else Float.min 1. (ev.se_dram_us /. ev.se_us));
+        })
+      k.Kernel_ir.stages
+  in
+  ( { kernel = k; kcounters = c; compute_us = !compute_us; memory_us = !memory_us },
+    {
+      kp_name = k.Kernel_ir.kname;
+      kp_launch_us = launch_us;
+      kp_cooperative = Kernel_ir.num_grid_syncs k > 0;
+      kp_stages = stages;
+      kp_solo_us = c.Counters.time_us;
+    } )
 
 (** A kernel that grid-synchronizes must fit in one wave (cooperative
     launch); returns the offending kernels. *)
@@ -171,15 +241,7 @@ let validate_prog (dev : Device.t) (p : Kernel_ir.prog) :
          (String.concat ", "
             (List.map (fun k -> k.Kernel_ir.kname) bad)))
 
-let run (dev : Device.t) (p : Kernel_ir.prog) : result =
-  Obs.span ~meta:[ ("prog", p.Kernel_ir.pname) ] "simulate" @@ fun () ->
-  let per_kernel =
-    List.map
-      (fun (k : Kernel_ir.kernel) ->
-        Obs.span ~meta:[ ("kernel", k.Kernel_ir.kname) ] "sim-kernel"
-          (fun () -> run_kernel dev k))
-      p.Kernel_ir.kernels
-  in
+let summarize (dev : Device.t) per_kernel profiles : result =
   let total = Counters.create () in
   List.iter (fun r -> Counters.add ~into:total r.kcounters) per_kernel;
   {
@@ -188,7 +250,19 @@ let run (dev : Device.t) (p : Kernel_ir.prog) : result =
     total;
     total_compute_us = List.fold_left (fun a r -> a +. r.compute_us) 0. per_kernel;
     total_memory_us = List.fold_left (fun a r -> a +. r.memory_us) 0. per_kernel;
+    profiles;
   }
+
+let run (dev : Device.t) (p : Kernel_ir.prog) : result =
+  Obs.span ~meta:[ ("prog", p.Kernel_ir.pname) ] "simulate" @@ fun () ->
+  let evals =
+    List.map
+      (fun (k : Kernel_ir.kernel) ->
+        Obs.span ~meta:[ ("kernel", k.Kernel_ir.kname) ] "sim-kernel"
+          (fun () -> eval_kernel dev ~launch:true k))
+      p.Kernel_ir.kernels
+  in
+  summarize dev (List.map fst evals) (List.map snd evals)
 
 let time_ms (r : result) = r.total.Counters.time_us /. 1000.
 
@@ -203,315 +277,6 @@ let run_result (dev : Device.t) (p : Kernel_ir.prog) :
 (* ------------------------------------------------------------------ *)
 (* Multi-stream execution: time-sharing the device between programs    *)
 (* ------------------------------------------------------------------ *)
-
-(** One stage of a kernel as the multi-stream scheduler sees it: its solo
-    execution time (exactly what {!run_stage} computes for a lone program)
-    plus its standing resource claims — how many SMs its resident blocks
-    occupy and what fraction of peak DRAM bandwidth it consumes when it has
-    the device to itself. *)
-type stage_profile = {
-  sp_label : string;
-  sp_us : float;       (** solo stage time, grid syncs included *)
-  sp_demand : int;     (** SMs occupied by the resident grid *)
-  sp_bw_frac : float;  (** solo DRAM bandwidth as a fraction of device peak *)
-  sp_mem_frac : float; (** fraction of [sp_us] attributable to DRAM traffic *)
-}
-
-type kernel_profile = {
-  kp_name : string;
-  kp_launch_us : float;
-  kp_cooperative : bool;  (** grid-synchronizing: whole grid stays resident *)
-  kp_stages : stage_profile list;
-  kp_solo_us : float;     (** launch + stages, {!run_kernel}'s association *)
-}
-
-let profile_kernel (dev : Device.t) (k : Kernel_ir.kernel) : kernel_profile =
-  let u = Kernel_ir.usage k in
-  let grid = k.Kernel_ir.grid_blocks in
-  let waves = Occupancy.waves dev u ~grid_blocks:grid in
-  let bps = Occupancy.blocks_per_sm dev u in
-  (* SMs hosting the kernel's resident blocks: a grid larger than one wave
-     keeps the whole device busy cycling waves; a small grid (or a
-     cooperative launch, whose entire grid must stay resident between
-     grid.syncs) pins down only the SMs it actually needs.  Vendor library
-     calls pick their own device-wide parallelization. *)
-  let demand =
-    if k.Kernel_ir.library_call || bps <= 0 then dev.Device.num_sms
-    else min dev.Device.num_sms ((max 1 grid + bps - 1) / bps)
-  in
-  let stages =
-    List.map
-      (fun (s : Kernel_ir.stage) ->
-        let ev =
-          run_stage dev ~waves ~kernel_grid:grid
-            ~library_call:k.Kernel_ir.library_call s (Counters.create ())
-        in
-        {
-          sp_label = s.Kernel_ir.label;
-          sp_us = ev.se_us;
-          sp_demand = demand;
-          sp_bw_frac =
-            (if ev.se_us <= 0. then 0.
-             else
-               float_of_int ev.se_dram_bytes
-               /. (dev.Device.dram_bw_gbps *. 1e3 *. ev.se_us));
-          sp_mem_frac =
-            (if ev.se_us <= 0. then 0.
-             else Float.min 1. (ev.se_dram_us /. ev.se_us));
-        })
-      k.Kernel_ir.stages
-  in
-  {
-    kp_name = k.Kernel_ir.kname;
-    kp_launch_us = dev.Device.kernel_launch_us;
-    kp_cooperative = Kernel_ir.num_grid_syncs k > 0;
-    kp_stages = stages;
-    kp_solo_us =
-      List.fold_left
-        (fun a sp -> a +. sp.sp_us)
-        dev.Device.kernel_launch_us stages;
-  }
-
-let profile_prog (dev : Device.t) (p : Kernel_ir.prog) : kernel_profile list =
-  List.map (profile_kernel dev) p.Kernel_ir.kernels
-
-(** Solo end-to-end latency of a profiled program — bit-identical to
-    [({!run} dev prog).total.time_us] because both accumulate the same
-    per-stage floats in the same order. *)
-let solo_time_us (profs : kernel_profile list) : float =
-  List.fold_left (fun a kp -> a +. kp.kp_solo_us) 0. profs
-
-(* ------------------------------------------------------------------ *)
-(* Mega-kernel execution: persistent workers draining a task graph     *)
-(* ------------------------------------------------------------------ *)
-
-(* Per-task precomputation: solo stage evaluations (exactly {!run_stage}'s
-   floats, counters included) plus the task's standing claims — the same
-   SM-demand and DRAM-bandwidth quantities {!profile_kernel} derives for
-   multi-stream contention, reused here for task-level concurrency inside
-   one persistent launch. *)
-type mega_task = {
-  mt_deps : int list;
-  mt_demand : int;
-  mt_stages : (float * float * float) array;  (* solo us, bw frac, mem frac *)
-  mt_result : kernel_result;
-}
-
-(** Execute a task graph as one persistent kernel: per-SM workers pull
-    tasks whose dependencies have retired, independent tasks overlap, and
-    the device is time-shared between concurrently running tasks with the
-    same proportional SM/DRAM contention model {!Multi} applies between
-    streams.  Returns the per-task results plus the timeline as
-    constant-concurrency segments — each segment is a {!stage_profile}
-    (duration, aggregate SM demand capped at the device, aggregate
-    bandwidth capped at peak), which is exactly the shape {!Multi} can
-    replay: a mega program enters the serving engine as ONE kernel profile
-    whose stages are these segments. *)
-let mega_exec (dev : Device.t) (tg : Kernel_ir.taskgraph) :
-    mega_task array * stage_profile list =
-  let prep (t : Kernel_ir.task) =
-    let k = t.Kernel_ir.t_kernel in
-    let u = Kernel_ir.usage k in
-    let grid = k.Kernel_ir.grid_blocks in
-    let waves = Occupancy.waves dev u ~grid_blocks:grid in
-    let bps = Occupancy.blocks_per_sm dev u in
-    let demand =
-      if k.Kernel_ir.library_call || bps <= 0 then dev.Device.num_sms
-      else min dev.Device.num_sms ((max 1 grid + bps - 1) / bps)
-    in
-    let c = Counters.create () in
-    let compute_us = ref 0. and memory_us = ref 0. in
-    let stages =
-      List.map
-        (fun (s : Kernel_ir.stage) ->
-          let ev =
-            run_stage dev ~waves ~kernel_grid:grid
-              ~library_call:k.Kernel_ir.library_call s c
-          in
-          (match ev.se_kind with
-          | `Compute -> compute_us := !compute_us +. ev.se_us
-          | `Memory -> memory_us := !memory_us +. ev.se_us);
-          let bw =
-            if ev.se_us <= 0. then 0.
-            else
-              float_of_int ev.se_dram_bytes
-              /. (dev.Device.dram_bw_gbps *. 1e3 *. ev.se_us)
-          in
-          let mf =
-            if ev.se_us <= 0. then 0.
-            else Float.min 1. (ev.se_dram_us /. ev.se_us)
-          in
-          (ev.se_us, bw, mf))
-        k.Kernel_ir.stages
-    in
-    {
-      mt_deps = t.Kernel_ir.t_deps;
-      mt_demand = demand;
-      mt_stages = Array.of_list stages;
-      mt_result =
-        {
-          kernel = k;
-          kcounters = c;
-          compute_us = !compute_us;
-          memory_us = !memory_us;
-        };
-    }
-  in
-  let tasks = Array.map prep tg.Kernel_ir.tg_tasks in
-  let n = Array.length tasks in
-  let finished = Array.make n false in
-  let started = Array.make n false in
-  let sidx = Array.make n 0 in
-  let left = Array.make n 0. in
-  let running = ref [] in
-  let done_count = ref 0 in
-  let segs = ref [] in
-  let nseg = ref 0 in
-  (* admit every task whose dependencies have all retired; instruction-free
-     tasks retire instantly and may unlock more, hence the fixpoint *)
-  let rec start_ready () =
-    let instant = ref false in
-    for i = 0 to n - 1 do
-      if
-        (not started.(i))
-        && List.for_all (fun d -> finished.(d)) tasks.(i).mt_deps
-      then begin
-        started.(i) <- true;
-        if Array.length tasks.(i).mt_stages = 0 then begin
-          finished.(i) <- true;
-          incr done_count;
-          instant := true
-        end
-        else begin
-          sidx.(i) <- 0;
-          let su, _, _ = tasks.(i).mt_stages.(0) in
-          left.(i) <- su;
-          running := !running @ [ i ]
-        end
-      end
-    done;
-    if !instant then start_ready ()
-  in
-  start_ready ();
-  while !done_count < n && !running <> [] do
-    let d = List.fold_left (fun a i -> a + tasks.(i).mt_demand) 0 !running in
-    let b =
-      List.fold_left
-        (fun a i ->
-          let _, bw, _ = tasks.(i).mt_stages.(sidx.(i)) in
-          a +. bw)
-        0. !running
-    in
-    let sms = float_of_int dev.Device.num_sms in
-    let sm_slow = Float.max 1. (float_of_int d /. sms) in
-    let bw_over = Float.max 1. (b /. sm_slow) in
-    let stretch_of i =
-      let _, _, mf = tasks.(i).mt_stages.(sidx.(i)) in
-      sm_slow *. (1. +. (mf *. (bw_over -. 1.)))
-    in
-    (* next event: the earliest current-stage completion *)
-    let dt =
-      List.fold_left
-        (fun a i -> Float.min a (left.(i) *. stretch_of i))
-        infinity !running
-    in
-    if dt > 0. then begin
-      let mf_seg =
-        if d = 0 then 0.
-        else
-          List.fold_left
-            (fun a i ->
-              let _, _, mf = tasks.(i).mt_stages.(sidx.(i)) in
-              a +. (float_of_int tasks.(i).mt_demand *. mf))
-            0. !running
-          /. float_of_int d
-      in
-      incr nseg;
-      segs :=
-        {
-          sp_label = Fmt.str "seg%d" !nseg;
-          sp_us = dt;
-          sp_demand = min dev.Device.num_sms d;
-          sp_bw_frac = Float.min 1. b;
-          sp_mem_frac = Float.min 1. mf_seg;
-        }
-        :: !segs
-    end;
-    let still = ref [] in
-    List.iter
-      (fun i ->
-        let st = stretch_of i in
-        if left.(i) *. st <= dt then begin
-          (* current stage retired: next stage, or the task is done *)
-          if sidx.(i) + 1 < Array.length tasks.(i).mt_stages then begin
-            sidx.(i) <- sidx.(i) + 1;
-            let su, _, _ = tasks.(i).mt_stages.(sidx.(i)) in
-            left.(i) <- su;
-            still := i :: !still
-          end
-          else begin
-            finished.(i) <- true;
-            incr done_count
-          end
-        end
-        else begin
-          left.(i) <- left.(i) -. (dt /. st);
-          still := i :: !still
-        end)
-      !running;
-    running := List.rev !still;
-    start_ready ()
-  done;
-  if !done_count < n then
-    invalid_arg "Sim.mega: task graph deadlocked (unsatisfiable dependencies)";
-  (tasks, List.rev !segs)
-
-(** Execute a mega-kernel task graph solo: ONE launch charge total, then
-    the persistent workers drain the graph.  The wall clock is defined as
-    [launch +. fold-left of segment durations] — the same float association
-    {!Multi} accumulates for a one-kernel stream — so a mega program on an
-    uncontended serving stream finishes bit-identically to this result. *)
-let run_mega (dev : Device.t) (tg : Kernel_ir.taskgraph) : result =
-  Obs.span ~meta:[ ("taskgraph", tg.Kernel_ir.tg_name) ] "simulate-mega"
-  @@ fun () ->
-  let tasks, segs = mega_exec dev tg in
-  let per_kernel = Array.to_list (Array.map (fun t -> t.mt_result) tasks) in
-  let total = Counters.create () in
-  List.iter (fun r -> Counters.add ~into:total r.kcounters) per_kernel;
-  total.Counters.kernel_launches <- 1;
-  total.Counters.launch_us <- dev.Device.kernel_launch_us;
-  total.Counters.time_us <-
-    List.fold_left
-      (fun a sp -> a +. sp.sp_us)
-      dev.Device.kernel_launch_us segs;
-  {
-    device = dev;
-    per_kernel;
-    total;
-    total_compute_us =
-      List.fold_left (fun a r -> a +. r.compute_us) 0. per_kernel;
-    total_memory_us =
-      List.fold_left (fun a r -> a +. r.memory_us) 0. per_kernel;
-  }
-
-(** A mega program as the multi-stream engine sees it: one persistent
-    kernel whose stages are the solo timeline's constant-concurrency
-    segments.  [kp_solo_us] carries {!run_mega}'s exact wall-clock float,
-    so the uncontended-stream bit-exactness invariant extends to mega
-    artifacts with no changes to {!Multi} itself. *)
-let mega_profile (dev : Device.t) (tg : Kernel_ir.taskgraph) : kernel_profile
-    =
-  let _, segs = mega_exec dev tg in
-  {
-    kp_name = tg.Kernel_ir.tg_name;
-    kp_launch_us = dev.Device.kernel_launch_us;
-    kp_cooperative = true;
-    kp_stages = segs;
-    kp_solo_us =
-      List.fold_left
-        (fun a sp -> a +. sp.sp_us)
-        dev.Device.kernel_launch_us segs;
-  }
 
 (** Event-driven multi-stream scheduler.  A stream is one compiled
     program's kernel launch queue; the engine advances every active stream
@@ -528,8 +293,9 @@ let mega_profile (dev : Device.t) (tg : Kernel_ir.taskgraph) : kernel_profile
 
     A stage's remaining work is tracked in solo-microseconds and only
     re-segmented when its stretch actually changes, so an uncontended
-    stream accumulates exactly its solo per-stage floats: one stream in
-    the engine reproduces {!solo_time_us} bit for bit.  Cooperative
+    stream accumulates exactly its solo per-stage floats: one stream over
+    a {!result}'s [profiles] reproduces its [total.time_us] bit for bit.
+    The same engine drives {!run_mega}, one stream per task.  Cooperative
     kernels never yield SMs mid-kernel (their grid stays resident), which
     makes them barriers on their own stream only — other streams keep
     executing against them. *)
@@ -758,7 +524,7 @@ module Multi = struct
         s.st_phase <- Drained;
         (* dispatch + on-device time, not the engine clock: the global
            clock is a flat running sum whose float association differs
-           from {!solo_time_us}'s per-kernel grouping, while
+           from {!run}'s per-kernel grouping, while
            [st_service_us] accumulates in exactly that grouping — this
            keeps an uncontended stream's finish bit-identical to solo *)
         s.st_finish_us <- Some (s.st_start_us +. s.st_service_us)
@@ -959,3 +725,108 @@ module Multi = struct
         drain t
     | `Completed _ -> drain t
 end
+
+(* ------------------------------------------------------------------ *)
+(* Mega-kernel execution: persistent workers draining a task graph     *)
+(* ------------------------------------------------------------------ *)
+
+(** Execute a task graph as one persistent kernel: ONE launch charge, then
+    each task runs as a launch-free stream on a private {!Multi} engine,
+    admitted once its last dependency retires (lowest index first within an
+    instant; a task without stages retires on admission).  Every engine
+    step that advances time closes one constant-concurrency segment — the
+    active tasks' SM demand (capped at the device), DRAM bandwidth (capped
+    at peak) and demand-weighted memory fraction — and the segments are the
+    stages of the one persistent profile in [profiles].  The wall clock is
+    [launch +. fold-left of segment durations], {!Multi}'s association for
+    a one-kernel stream, so an uncontended serving stream over that profile
+    finishes bit-identically. *)
+let run_mega (dev : Device.t) (tg : Kernel_ir.taskgraph) : result =
+  Obs.span ~meta:[ ("taskgraph", tg.Kernel_ir.tg_name) ] "simulate-mega"
+  @@ fun () ->
+  let tasks = tg.Kernel_ir.tg_tasks in
+  let evals =
+    Array.map (fun t -> eval_kernel dev ~launch:false t.Kernel_ir.t_kernel) tasks
+  in
+  let n = Array.length tasks in
+  let indeg = Array.map (fun t -> List.length t.Kernel_ir.t_deps) tasks in
+  let succs = Array.make n [] in
+  for i = n - 1 downto 0 do
+    List.iter (fun d -> succs.(d) <- i :: succs.(d)) tasks.(i).Kernel_ir.t_deps
+  done;
+  let eng = Multi.create dev in
+  let task_of_stream = Array.make n 0 in
+  let retired = ref 0 in
+  (* retire task [i]; returns the successors it makes ready, ascending *)
+  let retire i =
+    incr retired;
+    List.filter (fun j -> indeg.(j) <- indeg.(j) - 1; indeg.(j) = 0) succs.(i)
+  in
+  let rec admit = function
+    | [] -> ()
+    | i :: rest ->
+        let kp = snd evals.(i) in
+        if kp.kp_stages = [] then admit (List.merge compare rest (retire i))
+        else begin
+          let s = Multi.launch eng [ kp ] in
+          task_of_stream.(s.Multi.st_id) <- i;
+          admit rest
+        end
+  in
+  admit (List.filter (fun i -> indeg.(i) = 0) (List.init n Fun.id));
+  let sms = dev.Device.num_sms in
+  let segs = ref [] and nseg = ref 0 in
+  let rec drain () =
+    match Multi.active eng with
+    | [] -> ()
+    | ss -> (
+        let d, b = Multi.demands ss in
+        let dm =
+          List.fold_left
+            (fun a s ->
+              match Multi.current_stage s with
+              | Some sp -> a +. (float_of_int sp.sp_demand *. sp.sp_mem_frac)
+              | None -> a)
+            0. ss
+        in
+        let t0 = Multi.now_us eng in
+        match Multi.step eng ~until:infinity with
+        | `Crossed done_ ->
+            let dt = Multi.now_us eng -. t0 in
+            if dt > 0. then begin
+              incr nseg;
+              segs :=
+                {
+                  sp_label = Fmt.str "seg%d" !nseg;
+                  sp_us = dt;
+                  sp_demand = min sms d;
+                  sp_bw_frac = Float.min 1. b;
+                  sp_mem_frac =
+                    (if d = 0 then 0. else Float.min 1. (dm /. float_of_int d));
+                }
+                :: !segs
+            end;
+            List.concat_map
+              (fun s -> retire task_of_stream.(s.Multi.st_id))
+              done_
+            |> List.sort compare |> admit;
+            drain ()
+        | `Idle | `Reached | `Stalled _ ->
+            invalid_arg "Sim.run_mega: task stream stalled")
+  in
+  drain ();
+  if !retired < n then
+    invalid_arg "Sim.mega: task graph deadlocked (unsatisfiable dependencies)";
+  let segs = List.rev !segs in
+  let launch_us = dev.Device.kernel_launch_us in
+  let r = summarize dev (Array.to_list (Array.map fst evals)) [] in
+  r.total.Counters.kernel_launches <- 1;
+  r.total.Counters.launch_us <- launch_us;
+  r.total.Counters.time_us <-
+    List.fold_left (fun a sp -> a +. sp.sp_us) launch_us segs;
+  let persistent =
+    { kp_name = tg.Kernel_ir.tg_name; kp_launch_us = launch_us;
+      kp_cooperative = true; kp_stages = segs;
+      kp_solo_us = r.total.Counters.time_us }
+  in
+  { r with profiles = [ persistent ] }

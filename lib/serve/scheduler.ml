@@ -152,20 +152,19 @@ type artifact = {
           mega-kernel artifact *)
 }
 
-(** Build an artifact straight from a compiled kernel program (runs the
-    solo simulation once for the counters). *)
+(** Build an artifact straight from a compiled kernel program (one solo
+    simulation yields both the replay profiles and the counters). *)
 let artifact_of_prog (dev : Device.t) ~model ?(batch = 1) ?(pos = 0)
     ?(degraded = 0) (prog : Kernel_ir.prog) : artifact =
   if batch < 1 then invalid_arg "Scheduler.artifact_of_prog: batch < 1";
   if pos < 0 then invalid_arg "Scheduler.artifact_of_prog: pos < 0";
-  let profiles = Sim.profile_prog dev prog in
   let sim = Sim.run dev prog in
   {
     art_model = model;
     art_batch = batch;
     art_pos = pos;
-    art_profiles = profiles;
-    art_solo_us = Sim.solo_time_us profiles;
+    art_profiles = sim.Sim.profiles;
+    art_solo_us = sim.Sim.total.Counters.time_us;
     art_counters = Counters.copy sim.Sim.total;
     art_degraded = degraded;
     art_mega = false;
@@ -173,21 +172,20 @@ let artifact_of_prog (dev : Device.t) ~model ?(batch = 1) ?(pos = 0)
   }
 
 (** Build an artifact from a mega-kernel task graph: the whole program is
-    ONE persistent kernel profile ({!Sim.mega_profile}), so a serving
+    ONE persistent kernel profile ({!Sim.run_mega}), so a serving
     stream pays a single launch and {!Sim.Multi} needs no special casing —
     contention, faults, and batching all apply unchanged. *)
 let artifact_of_taskgraph (dev : Device.t) ~model ?(batch = 1) ?(pos = 0)
     ?(degraded = 0) (tg : Kernel_ir.taskgraph) : artifact =
   if batch < 1 then invalid_arg "Scheduler.artifact_of_taskgraph: batch < 1";
   if pos < 0 then invalid_arg "Scheduler.artifact_of_taskgraph: pos < 0";
-  let profiles = [ Sim.mega_profile dev tg ] in
   let sim = Sim.run_mega dev tg in
   {
     art_model = model;
     art_batch = batch;
     art_pos = pos;
-    art_profiles = profiles;
-    art_solo_us = Sim.solo_time_us profiles;
+    art_profiles = sim.Sim.profiles;
+    art_solo_us = sim.Sim.total.Counters.time_us;
     art_counters = Counters.copy sim.Sim.total;
     art_degraded = degraded;
     art_mega = true;

@@ -206,6 +206,127 @@ let qcheck_more_traffic_never_faster =
       in
       t (base + extra) >= t base -. 1e-9)
 
+(* ---- generated programs: one stage pass feeds both solo and replay --- *)
+
+let gen_instr =
+  QCheck.Gen.(
+    let bytes = int_range 0 50_000_000 and work = int_range 0 2_000_000_000 in
+    oneof
+      [
+        map (fun b -> Kernel_ir.ldg b) bytes;
+        map (fun b -> Kernel_ir.ldl2 b) bytes;
+        map (fun b -> Kernel_ir.lds b) bytes;
+        map (fun b -> Kernel_ir.stg b) bytes;
+        map (fun b -> Kernel_ir.atomic_add b) bytes;
+        map (fun flops -> Kernel_ir.Mma { flops }) work;
+        map (fun flops -> Kernel_ir.Fma { flops }) work;
+        map (fun ops -> Kernel_ir.Sfu { ops }) work;
+        return Kernel_ir.Grid_sync;
+        return Kernel_ir.Block_sync;
+      ])
+
+(* a kernel with [nstages] random stages, grid and resources *)
+let gen_kernel ~name nstages =
+  QCheck.Gen.(
+    let* grid = int_range 1 600 in
+    let* threads = oneofl [ 64; 128; 256; 512; 1024 ] in
+    let* smem = oneofl [ 0; 16 * 1024; 48 * 1024; 96 * 1024 ] in
+    let* library_call = frequencyl [ (1, true); (4, false) ] in
+    let+ stages =
+      list_size nstages
+        (map4
+           (fun instrs pipelined sgrid compute_eff ->
+             Kernel_ir.stage ~label:"s" ~pipelined ~sgrid ~compute_eff instrs)
+           (list_size (int_range 0 4) gen_instr)
+           bool (int_range 0 grid) (float_range 0.2 1.0))
+    in
+    Kernel_ir.kernel ~name ~grid_blocks:grid ~threads_per_block:threads
+      ~smem_per_block:smem ~library_call stages)
+
+let arb_prog =
+  QCheck.make
+    ~print:(fun (p : Kernel_ir.prog) ->
+      Fmt.str "%a" Fmt.(list Kernel_ir.pp_kernel) p.Kernel_ir.kernels)
+    QCheck.Gen.(
+      let* n = int_range 1 6 in
+      let+ kernels =
+        flatten_l
+          (List.init n (fun i ->
+               gen_kernel ~name:(Fmt.str "k%d" i) (int_range 0 4)))
+      in
+      { Kernel_ir.pname = "gen"; kernels })
+
+let replay_finish (profiles : Sim.kernel_profile list) =
+  let eng = Sim.Multi.create dev in
+  let s = Sim.Multi.launch eng profiles in
+  Sim.Multi.drain eng;
+  s.Sim.Multi.st_finish_us
+
+let qcheck_solo_equals_one_stream =
+  QCheck.Test.make ~name:"solo time = one-stream replay, bit for bit"
+    ~count:200 arb_prog (fun p ->
+      let r = Sim.run dev p in
+      replay_finish r.Sim.profiles = Some r.Sim.total.Counters.time_us)
+
+let qcheck_profile_solo_is_kernel_time =
+  QCheck.Test.make ~name:"profile solo time = kernel counter time"
+    ~count:200 arb_prog (fun p ->
+      let r = Sim.run dev p in
+      List.for_all2
+        (fun (kp : Sim.kernel_profile) (kr : Sim.kernel_result) ->
+          kp.Sim.kp_solo_us = kr.Sim.kcounters.Counters.time_us)
+        r.Sim.profiles r.Sim.per_kernel)
+
+(* random DAGs: every dep points at a lower index, a quarter of the tasks
+   carry no stages *)
+let arb_taskgraph =
+  QCheck.make
+    ~print:(Fmt.to_to_string Kernel_ir.pp_taskgraph)
+    QCheck.Gen.(
+      let* n = int_range 1 8 in
+      let+ tasks =
+        flatten_l
+          (List.init n (fun i ->
+               let* edge = list_repeat i (frequencyl [ (1, true); (2, false) ]) in
+               let+ k = gen_kernel ~name:(Fmt.str "t%d" i) (int_range 0 3) in
+               let deps =
+                 List.concat
+                   (List.mapi (fun d on -> if on then [ d ] else []) edge)
+               in
+               { Kernel_ir.t_kernel = k; t_deps = deps }))
+      in
+      { Kernel_ir.tg_name = "gen"; tg_kernels = n;
+        tg_tasks = Array.of_list tasks })
+
+let qcheck_mega_one_launch =
+  QCheck.Test.make ~name:"run_mega terminates with one launch" ~count:200
+    arb_taskgraph (fun tg ->
+      (Sim.run_mega dev tg).Sim.total.Counters.kernel_launches = 1)
+
+(* contention only ever stretches a task, so the wall clock can never beat
+   launch + the longest chain of solo task times; a task admitted before
+   its dependencies retired would break this by whole stages, while the
+   1e-12 slack only absorbs rounding (segment durations are differences of
+   absolute engine times) *)
+let qcheck_mega_respects_dependencies =
+  QCheck.Test.make ~name:"run_mega >= launch + longest dependency chain"
+    ~count:200 arb_taskgraph (fun tg ->
+      let r = Sim.run_mega dev tg in
+      let solo = Array.of_list r.Sim.per_kernel in
+      let chain = Array.make (Array.length solo) 0. in
+      Array.iteri
+        (fun i (t : Kernel_ir.task) ->
+          chain.(i) <-
+            solo.(i).Sim.kcounters.Counters.time_us
+            +. List.fold_left
+                 (fun a d -> Float.max a chain.(d))
+                 0. t.Kernel_ir.t_deps)
+        tg.Kernel_ir.tg_tasks;
+      let bound =
+        dev.Device.kernel_launch_us +. Array.fold_left Float.max 0. chain
+      in
+      r.Sim.total.Counters.time_us >= bound *. (1. -. 1e-12))
+
 let suite =
   [
     Alcotest.test_case "occupancy thread limit" `Quick test_occupancy_thread_limit;
@@ -227,4 +348,8 @@ let suite =
     Alcotest.test_case "validate cooperative" `Quick test_validate_prog_coop;
     Alcotest.test_case "utilization counters" `Quick test_utilization_counters;
     QCheck_alcotest.to_alcotest qcheck_more_traffic_never_faster;
+    QCheck_alcotest.to_alcotest qcheck_solo_equals_one_stream;
+    QCheck_alcotest.to_alcotest qcheck_profile_solo_is_kernel_time;
+    QCheck_alcotest.to_alcotest qcheck_mega_one_launch;
+    QCheck_alcotest.to_alcotest qcheck_mega_respects_dependencies;
   ]

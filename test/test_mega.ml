@@ -84,10 +84,9 @@ let test_multi_replay_bit_exact () =
     (fun (e : Zoo.entry) ->
       let r = compile_mega e in
       let m = mega_of e r in
-      let tg = m.Souffle.m_graph in
       let solo = m.Souffle.m_sim.Sim.total.Counters.time_us in
       let eng = Sim.Multi.create dev in
-      let s = Sim.Multi.launch eng [ Sim.mega_profile dev tg ] in
+      let s = Sim.Multi.launch eng m.Souffle.m_sim.Sim.profiles in
       (match Sim.Multi.advance eng ~until:infinity with
       | `Completed _ | `Idle -> ()
       | `Reached | `Stalled _ ->

@@ -5,7 +5,12 @@
 #  - every long CLI flag (`--foo-bar`) a documentation file mentions must
 #    appear in the help corpus (the concatenated `--help=plain` output of
 #    every souffle subcommand, plus the flags the bench driver parses by
-#    hand), so the docs cannot describe flags the binaries dropped.
+#    hand), so the docs cannot describe flags the binaries dropped, and
+#  - every backtick-quoted OCaml identifier (`Sim.run_mega`,
+#    `Sim.Multi.launch`) must be defined — `let`/`and`/`val`/`external`,
+#    `type`, or record field — in its module's source file, `lib/**/sim.ml`
+#    or `bench/sim.ml` for `Sim`.  Modules with no such file (`Domain`,
+#    `BENCH_x.json` read as module `BENCH_x`) are skipped.
 # Usage: doc_check.sh ROOT HELP_CORPUS DOC...
 set -eu
 root=$1
@@ -41,6 +46,26 @@ for doc in "$@"; do
   for flag in $flags; do
     if ! printf '%s\n' "$known_flags" | grep -qxF -- "$flag"; then
       echo "doc-check: $doc mentions $flag, absent from CLI help output" >&2
+      status=1
+    fi
+  done
+  # OCaml identifiers: the module's first component names the file, the
+  # last component is the name that file must define
+  idents=$(grep -oE '`[A-Z][A-Za-z0-9_]*(\.[A-Z][A-Za-z0-9_]*)*\.[a-z_][A-Za-z0-9_]*`' "$doc" \
+    | tr -d '`' | sort -u)
+  for ident in $idents; do
+    modname=${ident%%.*}
+    name=${ident##*.}
+    file=$(printf '%s' "$modname" | cut -c1 | tr 'A-Z' 'a-z')$(printf '%s' "$modname" | cut -c2-).ml
+    src=$(find "$root/lib" "$root/bench" -name "$file" -type f | head -n 1)
+    [ -n "$src" ] || continue
+    end="([^A-Za-z0-9_']|\$)"
+    if ! grep -qE \
+      -e "(^|[[:space:]])(let|and|val|external)([[:space:]]+rec)?[[:space:]]+$name$end" \
+      -e "(^|[[:space:]])type([[:space:]]+nonrec)?[[:space:]]+(('[a-z]+|\([^)]*\))[[:space:]]+)?$name$end" \
+      -e "(^[[:space:]]*|[{;][[:space:]]*)(mutable[[:space:]]+)?$name[[:space:]]*:" \
+      "$src"; then
+      echo "doc-check: $doc cites $ident, not defined in ${src#"$root"/}" >&2
       status=1
     fi
   done
