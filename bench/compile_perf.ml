@@ -3,7 +3,8 @@
    persistent schedule cache (Scache) — and checks, on every model, that
    none of it costs kernel quality or determinism.
 
-   Four compiles per model:
+   Four measured compiles per model, after one untimed warm-up compile of
+   the same program:
      cold/construct   fresh cache, search_domains = 1, constructive
                       scheduling (the default pipeline)
      cold/exhaustive  fresh cache, search_domains = 1, full enumerative
@@ -125,6 +126,10 @@ let gate_failure ~model ~gate fmt =
 
 let bench_model ~graph_of (e : Zoo.entry) : string * run list =
   let p = Lower.run (graph_of e) in
+  (* one untimed compile first: the one-time costs of a freshly lowered
+     program (its lazily built indexes, the first heap growth) would
+     otherwise all land on whichever measured run comes first *)
+  ignore (Souffle.compile_result p);
   let cache = Scache.create () in
   let construct =
     measure ~model:e.Zoo.name ~label:"cold/construct" ~sched_cache:cache

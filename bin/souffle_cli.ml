@@ -161,9 +161,9 @@ let search_mode_arg =
     "Schedule production strategy: $(b,construct) (default) builds one \
      schedule per TE by greedy construction under the analytic cost model \
      (a handful of candidate evaluations per TE); $(b,exhaustive) \
-     enumerates the full Ansor candidate space.  The two modes cache \
-     separately, and a failing constructive pass falls back to the \
-     exhaustive search automatically before anything degrades."
+     enumerates the full Ansor candidate space (the quality oracle).  The \
+     two modes cache separately; a failing scheduler degrades the program \
+     one optimization level, like any other front-end pass."
   in
   Arg.(
     value & opt string "construct" & info [ "search-mode" ] ~docv:"MODE" ~doc)

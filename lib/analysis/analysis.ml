@@ -58,12 +58,6 @@ let memory_intensive t =
       if is_compute_intensive t te.Te.name then None else Some te.Te.name)
     t.program.Program.tes
 
-let one_to_one t =
-  List.filter_map
-    (fun (te : Te.t) ->
-      if is_one_to_one t te.Te.name then Some te.Te.name else None)
-    t.program.Program.tes
-
 let pp ppf t =
   Fmt.pf ppf "@[<v>";
   List.iter

@@ -55,24 +55,6 @@ let flush_rev ?eff_override rev_tes acc =
   | [] -> acc
   | tes -> mk_group ?eff_override (List.rev tes) :: acc
 
-(* longest producer chain in the program *)
-let longest_chain (p : Program.t) : int =
-  Program.SMap.fold
-    (fun _ d acc -> max d acc)
-    (List.fold_left
-       (fun acc (te : Te.t) ->
-         let d =
-           List.fold_left
-             (fun m i ->
-               match Program.SMap.find_opt i acc with
-               | Some di -> max m (di + 1)
-               | None -> m)
-             0 (Te.inputs te)
-         in
-         Program.SMap.add te.Te.name d acc)
-       Program.SMap.empty p.Program.tes)
-    0
-
 (* ---------- per-system grouping -------------------------------------- *)
 
 (* XLA: GEMM/Conv become opaque library calls (cuBLAS/cuDNN); the rest is

@@ -13,9 +13,8 @@
     error.  {!save} writes through a temp file and renames, so a crashed
     writer cannot leave a torn cache behind.
 
-    Determinism contract: entries only ever come from full-space searches
-    ({!Ansor.space} [Full]; the reduced retry space bypasses the store),
-    and every key records the {!Ansor.mode} that produced its schedule
+    Determinism contract: every key records the {!Ansor.mode} that
+    produced its schedule
     ([mode=construct] / [mode=exhaustive]), so a warm cache reproduces the
     cold serial run of the same mode bit for bit and the two modes never
     serve each other's entries. *)

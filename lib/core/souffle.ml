@@ -40,9 +40,10 @@ type config = {
   search_mode : Ansor.mode;
       (** how schedules are produced: {!Ansor.Construct} (default) builds
           one schedule per TE by greedy construction under the analytic
-          cost model; {!Ansor.Exhaustive} enumerates the full candidate
-          space.  A failing constructive pass falls back to the exhaustive
-          search (then to the reduced space) before anything degrades *)
+          cost model; {!Ansor.Exhaustive} enumerates the candidate space
+          (the quality oracle the compile bench compares against).  A
+          failing scheduler degrades the program a level, like any other
+          front-end pass *)
   sched_cache : Scache.t option;
       (** persistent cross-run schedule cache; warm entries skip the Ansor
           candidate search entirely *)
@@ -300,49 +301,16 @@ let compile_result ?(cfg = default_config) ?(strict = false) (p : Program.t)
           | Some c -> Scache.add c key s);
     }
   in
-  (* Schedule with retries: constructive scheduling (the default mode)
-     falls back to the exhaustive full-space search, which falls back to
-     the reduced candidate set, before the whole program degrades a level.
-     Each recovery is a warning diagnostic, not a degradation step — the
-     chosen optimization level is untouched, only this search ran
-     differently. *)
+  (* One scheduler call per attempt; a failure degrades the program a
+     level like any other front-end pass. *)
   let schedule p2 =
-    let recovered ~what ~via d scheds =
-      note
-        (Diag.warning ~subject:"program" Diag.Schedule
-           (Fmt.str "%s failed (%s); recovered on %s" what d.Diag.message via));
-      Ok scheds
+    let scheduler =
+      match cfg.search_mode with
+      | Ansor.Construct -> Construct.scheduler
+      | Ansor.Exhaustive -> Ansor.exhaustive_scheduler
     in
-    let with_reduced_fallback r =
-      match r with
-      | Ok _ as ok -> ok
-      | Error d -> (
-          match
-            Ansor.schedule_program_result ~config:cfg.ansor
-              ~space:Ansor.Reduced ~store cfg.device p2
-          with
-          | Ok scheds ->
-              recovered ~what:"full-space search"
-                ~via:"the reduced candidate set" d scheds
-          | Error _ -> Error d)
-    in
-    let exhaustive () =
-      Ansor.schedule_program_result ~config:cfg.ansor ~store cfg.device p2
-    in
-    match cfg.search_mode with
-    | Ansor.Exhaustive -> with_reduced_fallback (exhaustive ())
-    | Ansor.Construct -> (
-        match
-          Construct.schedule_program_result ~config:cfg.ansor ~store
-            cfg.device p2
-        with
-        | Ok _ as ok -> ok
-        | Error d -> (
-            match exhaustive () with
-            | Ok scheds ->
-                recovered ~what:"constructive scheduling"
-                  ~via:"the exhaustive search" d scheds
-            | Error _ as e -> with_reduced_fallback e))
+    Ansor.schedule_program_result ~scheduler ~config:cfg.ansor ~store
+      cfg.device p2
   in
   (* ---- front end: whole-program passes at rank [r] ---- *)
   let front_end r =

@@ -28,9 +28,10 @@ type config = {
   search_mode : Ansor.mode;
       (** how schedules are produced: {!Ansor.Construct} (default) builds
           one schedule per TE by greedy construction under the analytic
-          cost model; {!Ansor.Exhaustive} enumerates the full candidate
-          space.  A failing constructive pass falls back to the exhaustive
-          search (then to the reduced space) before anything degrades *)
+          cost model; {!Ansor.Exhaustive} enumerates the candidate space
+          (the quality oracle the compile bench compares against).  A
+          failing scheduler degrades the program a level, like any other
+          front-end pass *)
   sched_cache : Scache.t option;
       (** persistent cross-run schedule cache; warm entries skip the Ansor
           candidate search entirely *)

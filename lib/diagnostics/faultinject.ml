@@ -159,12 +159,6 @@ type runtime_fault =
       (** the stage stretches by [factor] ([infinity] = hangs forever,
           recoverable only by a watchdog cancellation) *)
 
-let runtime_fault_to_string = function
-  | Kernel_fault { kernel; stage } -> Fmt.str "kfault@%d.%d" kernel stage
-  | Kernel_hang { kernel; stage; factor } ->
-      if factor = infinity then Fmt.str "khang@%d.%d(inf)" kernel stage
-      else Fmt.str "khang@%d.%d(x%g)" kernel stage factor
-
 (** Device-wide capacity cut: between [th_start_us] and
     [th_start_us + th_dur_us] the device retains only [th_capacity]
     (0 < c <= 1) of its SM and DRAM-bandwidth capacity. *)

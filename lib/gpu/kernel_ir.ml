@@ -134,14 +134,6 @@ let num_grid_syncs (k : kernel) =
       + List.length (List.filter (function Grid_sync -> true | _ -> false) s.instrs))
     0 k.stages
 
-let dram_read_bytes_kernel (k : kernel) =
-  List.fold_left
-    (fun acc s ->
-      List.fold_left
-        (fun acc -> function Ldg { bytes; _ } -> acc + bytes | _ -> acc)
-        acc s.instrs)
-    0 k.stages
-
 let pp_tag ppf = function
   | None -> ()
   | Some t -> Fmt.pf ppf "<%s>" t

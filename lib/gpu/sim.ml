@@ -498,17 +498,11 @@ module Multi = struct
        that much slower, so DRAM pressure is the *residual* demand after
        SM sharing — compounding the solo demands would double-count and
        make the device non-work-conserving (N identical streams slower
-       than serial).  An active throttle window scales both capacities;
-       the un-throttled path keeps the exact PR 5 float expressions. *)
-    let sm_slow, bw_over =
-      if t.mwindows = [] then
-        let sm_slow = Float.max 1. (float_of_int d /. sms) in
-        (sm_slow, Float.max 1. (b /. sm_slow))
-      else
-        let cap = capacity_at t t.mnow in
-        let sm_slow = Float.max 1. (float_of_int d /. (sms *. cap)) in
-        (sm_slow, Float.max 1. (b /. (sm_slow *. cap)))
-    in
+       than serial).  An active throttle window scales both capacities
+       (outside every window the capacity is exactly [1.]). *)
+    let cap = capacity_at t t.mnow in
+    let sm_slow = Float.max 1. (float_of_int d /. (sms *. cap)) in
+    let bw_over = Float.max 1. (b /. (sm_slow *. cap)) in
     List.iter
       (fun s ->
         match s.st_phase with
@@ -672,10 +666,7 @@ module Multi = struct
         in
         (* a capacity change mid-stage is an event too: streams must
            re-segment at the window edge *)
-        let next =
-          if t.mwindows = [] then next
-          else Float.min next (next_window_boundary t t.mnow)
-        in
+        let next = Float.min next (next_window_boundary t t.mnow) in
         if next = infinity && until = infinity then
           (* every active stream is hung indefinitely (an armed
              [Kernel_hang] with factor infinity) and nothing external is

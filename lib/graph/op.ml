@@ -232,16 +232,3 @@ let infer_shape (op : t) (ins : Shape.t list) : Shape.t =
       | first :: rest ->
           List.fold_left (fun acc s -> Shape.concat_axis ~axis acc s)
             first rest)
-
-(** Number of distinct input tensors the operator consumes. *)
-let arity = function
-  | Matmul | Matmul_nt | Batch_matmul | Batch_matmul_nt | Gemv | Conv2d _
-  | Depthwise_conv2d _ | Binary _ | Rowwise _ | Bias_add | Scale_channels
-  | Bias_channels ->
-      2
-  | Layernorm _ -> 3
-  | Concat _ -> -1 (* variadic *)
-  | Pool2d _ | Global_avg_pool | Unary _ | Scale _ | Affine _ | Softmax
-  | Causal_mask | Reduce _ | Reshape _ | Transpose _ | Slice _
-  | Strided_slice _ ->
-      1

@@ -453,15 +453,3 @@ let emit_kernel_result dev p an scheds opts ~index (g : group) :
   Diag.guard ~subject Diag.Emit (fun () ->
       Faultinject.trip ~subject Diag.Emit;
       emit_kernel dev p an scheds opts ~index g)
-
-(** {!emit} as a total function. *)
-let emit_result dev p an scheds opts (groups : group list) :
-    (Kernel_ir.prog, Diag.t) result =
-  let rec go gi acc = function
-    | [] -> Ok { Kernel_ir.pname = "prog"; kernels = List.rev acc }
-    | g :: rest -> (
-        match emit_kernel_result dev p an scheds opts ~index:gi g with
-        | Ok k -> go (gi + 1) (k :: acc) rest
-        | Error _ as e -> e)
-  in
-  go 0 [] groups

@@ -86,14 +86,6 @@ let record (f : unit -> 'a) : 'a * trace =
   }
   |> fun t -> (v, t)
 
-(** {!record} for callers that only want the trace when the body succeeds
-    but must not lose the body's own [result] error. *)
-let record_result (f : unit -> ('a, 'e) result) :
-    ('a * trace, 'e) result =
-  match record f with
-  | Ok v, t -> Ok (v, t)
-  | Error e, _ -> Error e
-
 (* ---- synthetic traces ---- *)
 
 (** A span from already-known timing — for traces assembled out of

@@ -51,13 +51,6 @@ let mode_of_string = function
   | "exhaustive" -> Some Exhaustive
   | _ -> None
 
-(** Candidate-space selection: {!Reduced} is the fallback space the
-    degradation ladder retries with after a search failure — small enough
-    to be near-instant, still covering the shapes that matter.  Reduced
-    results are never written to a {!store} (the determinism contract keys
-    stored schedules to the full space). *)
-type space = Full | Reduced
-
 (* Achieved efficiency: large tiles amortize prologue/epilogue and fill the
    pipelines; small tiles do not. *)
 let efficiency cfg ~tensor_core (s : Sched.t) =
@@ -137,11 +130,6 @@ let estimate_us_ctx (dev : Device.t) (ctx : cost_ctx) (te : Te.t)
   let waves = Occupancy.waves dev usage ~grid_blocks:grid in
   body +. (0.3 *. float_of_int (max 1 waves))
 
-(** Analytical latency (µs) of running [te] alone under schedule [s]. *)
-let estimate_us (dev : Device.t) (p : Program.t) (te : Te.t) (s : Sched.t) :
-    float =
-  estimate_us_ctx dev (cost_ctx p te) te s
-
 (* ---- candidate enumeration ----------------------------------------- *)
 
 (* Candidate tile factors for one dimension.  A dimension smaller than
@@ -150,10 +138,9 @@ let estimate_us (dev : Device.t) (p : Program.t) (te : Te.t) (s : Sched.t) :
    the search silently fall back to the grid-1 elementwise schedule — fatal
    for single-token decode shapes like (1, hidden), whose reductions need
    an rsplit-driven grid to reach DRAM bandwidth. *)
-let tile_candidates ~space d =
-  let opts = match space with Full -> [ 16; 32; 64; 128 ] | Reduced -> [ 32; 128 ] in
+let tile_candidates d =
   match
-    List.filter (fun t -> t <= d || t / 2 < d) opts
+    List.filter (fun t -> t <= d || t / 2 < d) [ 16; 32; 64; 128 ]
     |> List.map (fun t -> min t d)
     |> List.sort_uniq compare
   with
@@ -163,7 +150,7 @@ let tile_candidates ~space d =
 let rtile_candidates d =
   List.map (fun t -> min t d) [ 16; 32; 64 ] |> List.sort_uniq compare
 
-let thread_candidates = function Full -> [ 128; 256 ] | Reduced -> [ 256 ]
+let thread_candidates = [ 128; 256 ]
 
 (** Enumerate schedules for a reduction TE: tile the two innermost output
     dims, tile the first reduction axis, enumerate reduction splits and
@@ -172,7 +159,7 @@ let thread_candidates = function Full -> [ 128; 256 ] | Reduced -> [ 256 ]
     that cannot possibly fit the device — output tile alone over the
     shared-memory budget, block over the thread limit — are rejected
     before a [Sched.t] is allocated. *)
-let candidates ?dev ?(space = Full) (te : Te.t) : Sched.t list =
+let candidates ?dev (te : Te.t) : Sched.t list =
   let shape = te.Te.out_shape in
   let rank = Array.length shape in
   let raxes = Te.reduce_axes te in
@@ -181,9 +168,9 @@ let candidates ?dev ?(space = Full) (te : Te.t) : Sched.t list =
   else begin
     let last = rank - 1 in
     let snd_last = max 0 (rank - 2) in
-    let opts_last = tile_candidates ~space shape.(last) in
+    let opts_last = tile_candidates shape.(last) in
     let opts_snd =
-      if rank >= 2 then tile_candidates ~space shape.(snd_last) else [ 1 ]
+      if rank >= 2 then tile_candidates shape.(snd_last) else [ 1 ]
     in
     (* batch/channel dims keep one block per index: the grid already scales
        with them, and reduction splits (rsplit) cover small outputs *)
@@ -205,7 +192,7 @@ let candidates ?dev ?(space = Full) (te : Te.t) : Sched.t list =
           (fun sfac -> sfac = 1 || sfac <= Array.fold_left ( * ) 1 raxes)
           [ 1; 4; 16; 64 ]
     in
-    let opts_threads = thread_candidates space in
+    let opts_threads = thread_candidates in
     let elem_bytes = Dtype.bytes te.Te.dtype in
     let max_smem, max_threads =
       match dev with
@@ -269,9 +256,9 @@ let feasible (dev : Device.t) (p : Program.t) (te : Te.t) (s : Sched.t) =
 
 (** Search the candidate space for the lowest-latency feasible schedule.
     Deterministic tie-breaking: of equal-cost candidates the one enumerated
-    first wins, so the result is a function of (config, dev, te, space)
-    only — never of timing, domain count, or table iteration order. *)
-let schedule_te ?(config = default_config) ?(space = Full) (dev : Device.t)
+    first wins, so the result is a function of (config, dev, te) only —
+    never of timing, domain count, or table iteration order. *)
+let schedule_te ?(config = default_config) (dev : Device.t)
     (p : Program.t) (te : Te.t) : Sched.t =
   if not (Te.has_reduction te) then
     { (Sched.default_elementwise te) with compute_eff = config.eff_cap }
@@ -299,7 +286,7 @@ let schedule_te ?(config = default_config) ?(space = Full) (dev : Device.t)
           | Some (_, bc) when bc <= c -> ()
           | _ -> best := Some (s, c)
         end)
-      (candidates ~dev ~space te);
+      (candidates ~dev te);
     match !best with
     | None ->
         { (Sched.default_elementwise te) with compute_eff = config.eff_cap }
@@ -390,15 +377,13 @@ let chunk n items =
     construction-based one in without this module depending on it. *)
 type scheduler = {
   s_mode : mode;
-  s_schedule :
-    config:config -> space:space -> Device.t -> Program.t -> Te.t -> Sched.t;
+  s_schedule : config:config -> Device.t -> Program.t -> Te.t -> Sched.t;
 }
 
 let exhaustive_scheduler : scheduler =
   {
     s_mode = Exhaustive;
-    s_schedule =
-      (fun ~config ~space dev p te -> schedule_te ~config ~space dev p te);
+    s_schedule = (fun ~config dev p te -> schedule_te ~config dev p te);
   }
 
 (** Schedule every TE of a program.  Identical structures are searched once
@@ -406,16 +391,15 @@ let exhaustive_scheduler : scheduler =
     many times); keys the [store] already knows skip the search entirely;
     the remaining keys are searched across [config.search_domains] domains.
     The resulting table is bit-identical regardless of domain count or
-    store warmth built from {!Full}-space searches of the same
-    [scheduler]. *)
+    store warmth built from searches of the same [scheduler]. *)
 let schedule_program ?(scheduler = exhaustive_scheduler)
-    ?(config = default_config) ?(space = Full) ?store (dev : Device.t)
+    ?(config = default_config) ?store (dev : Device.t)
     (p : Program.t) : (string, Sched.t) Hashtbl.t =
   Obs.span ~meta:[ ("tes", string_of_int (List.length p.Program.tes)) ]
     "ansor"
   @@ fun () ->
   let mode = scheduler.s_mode in
-  let schedule_one te = scheduler.s_schedule ~config ~space dev p te in
+  let schedule_one te = scheduler.s_schedule ~config dev p te in
   (* the unique structural keys, in first-occurrence program order *)
   let key_of = Hashtbl.create 64 in
   let uniq = ref [] in
@@ -504,17 +488,15 @@ let schedule_program ?(scheduler = exhaustive_scheduler)
         in
         Hashtbl.replace resolved key s)
       missing;
-  (* feed the store — full-space results only, so cached schedules always
-     reproduce the serial full search *)
-  (match (store, space) with
-  | Some st, Full ->
+  Option.iter
+    (fun st ->
       List.iter
         (fun (key, _) ->
           match Hashtbl.find_opt resolved key with
           | Some s -> st.add key s
           | None -> ())
-        missing
-  | _ -> ());
+        missing)
+    store;
   Obs.annotate "store_hits" (string_of_int store_hits);
   Obs.annotate "searched" (string_of_int searched);
   Obs.annotate "domains" (string_of_int (if parallel then domains else 1));
@@ -532,8 +514,8 @@ let schedule_program ?(scheduler = exhaustive_scheduler)
 
 (** {!schedule_program} as a total function: fault-injection aware,
     exceptions converted to a typed diagnostic. *)
-let schedule_program_result ?scheduler ?config ?space ?store (dev : Device.t)
+let schedule_program_result ?scheduler ?config ?store (dev : Device.t)
     (p : Program.t) : ((string, Sched.t) Hashtbl.t, Diag.t) result =
   Diag.guard Diag.Schedule (fun () ->
       Faultinject.trip Diag.Schedule;
-      schedule_program ?scheduler ?config ?space ?store dev p)
+      schedule_program ?scheduler ?config ?store dev p)

@@ -48,12 +48,11 @@ let schedule_te ?(config = Ansor.default_config) (dev : Device.t)
     else begin
       let last = rank - 1 in
       let snd_last = max 0 (rank - 2) in
-      (* the exhaustive search's Full option lists — shared, so construction
-         can never pick a configuration enumeration could not *)
-      let opts_last = Ansor.tile_candidates ~space:Ansor.Full shape.(last) in
+      (* the exhaustive search's option lists — shared, so construction can
+         never pick a configuration enumeration could not *)
+      let opts_last = Ansor.tile_candidates shape.(last) in
       let opts_snd =
-        if rank >= 2 then Ansor.tile_candidates ~space:Ansor.Full shape.(snd_last)
-        else [ 1 ]
+        if rank >= 2 then Ansor.tile_candidates shape.(snd_last) else [ 1 ]
       in
       let opts_rt =
         if Array.length raxes = 0 then [ 1 ]
@@ -66,7 +65,7 @@ let schedule_te ?(config = Ansor.default_config) (dev : Device.t)
             (fun sfac -> sfac = 1 || sfac <= Array.fold_left ( * ) 1 raxes)
             [ 1; 4; 16; 64 ]
       in
-      let opts_threads = Ansor.thread_candidates Ansor.Full in
+      let opts_threads = Ansor.thread_candidates in
       (* a candidate from the current coordinate values, with the achieved
          efficiency filled in exactly as the search does *)
       let mk ~tl ~ts ~rt ~rsplit ~threads : Sched.t =
@@ -185,8 +184,7 @@ let schedule_te ?(config = Ansor.default_config) (dev : Device.t)
 let scheduler : Ansor.scheduler =
   {
     Ansor.s_mode = Ansor.Construct;
-    s_schedule =
-      (fun ~config ~space:_ dev p te -> schedule_te ~config dev p te);
+    s_schedule = (fun ~config dev p te -> schedule_te ~config dev p te);
   }
 
 (** {!Ansor.schedule_program} driven by construction instead of

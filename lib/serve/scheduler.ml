@@ -14,7 +14,7 @@
     [max_streams] bounds how many requests may share the device at once
     (the serving concurrency knob); everything else queues.
 
-    On top of the PR 5 happy path, requests now have a lifecycle:
+    On top of admission and dispatch, requests have a lifecycle:
 
     - {b Deadlines.}  A request carrying an SLO (its own
       [Workload.rq_slo_us], or the scheduler-wide [deadline_us] default)
@@ -63,9 +63,9 @@
       state is immutable input, so a retry cannot corrupt it.  Decode and
       prefill dispatches never coalesce into batched streams.
 
-    With none of those features configured the scheduler is byte-identical
-    to the PR 5 baseline — the fault machinery costs nothing when off, and
-    [max_batch = 1] (the default) never coalesces anything. *)
+    Every lifecycle feature defaults off: no deadline, no retries, an
+    unbounded queue, no chaos, and [max_batch = 1], which never coalesces
+    anything. *)
 
 type policy = Fifo | Sel
 
@@ -78,8 +78,6 @@ let policy_of_string = function
 
 (** What to do when an arrival finds the pending queue full. *)
 type drop_policy = Reject | Shed
-
-let drop_to_string = function Reject -> "reject" | Shed -> "shed"
 
 let drop_of_string = function
   | "reject" | "reject-newest" -> Some Reject
@@ -119,8 +117,9 @@ type cfg = {
           when any request has [rq_gen > 0]) *)
 }
 
-(** Build a scheduler configuration; every lifecycle feature defaults off,
-    which reproduces the PR 5 scheduler exactly. *)
+(** Build a scheduler configuration; every lifecycle feature defaults off
+    (unbounded queue, [Reject] drops, no retries, 50 µs backoff, no
+    deadline, no chaos, no batching, prompt length 0). *)
 let cfg ?queue_cap ?(drop = Reject) ?(retries = 0) ?(backoff_us = 50.)
     ?deadline_us ?chaos ?(max_batch = 1) ?(gen_prompt = 0) ~policy
     ~max_streams () : cfg =
@@ -217,7 +216,7 @@ type completed = {
           (0 unless the request ran on a mega-kernel artifact) *)
   c_phase : phase;
       (** lifecycle phase this completion belongs to; [Single] for
-          one-shot requests, so phase-free runs are unchanged *)
+          one-shot requests *)
   c_issue_us : float;
       (** when this phase's work entered the queue: the request arrival
           for [Single]/[Prefill], the previous phase's finish for a decode
@@ -521,9 +520,7 @@ let run (dev : Device.t) (cfg : cfg) ~(artifacts : artifact list)
       match !upcoming with
       | (r : Workload.request) :: rest
         when r.Workload.rq_arrival_us <= Sim.Multi.now_us m ->
-          (match cfg.queue_cap with
-          | None -> queue := !queue @ [ (job_of_req r, 0) ]
-          | Some _ -> admit r);
+          admit r;
           upcoming := rest;
           arrivals ()
       | _ -> ()
@@ -581,12 +578,8 @@ let run (dev : Device.t) (cfg : cfg) ~(artifacts : artifact list)
   let retry_or_fail (j : job) attempt =
     let rq = j.jb_req in
     let now = Sim.Multi.now_us m in
-    (* phase-free wording is kept verbatim for one-shot requests so
-       phase-free runs stay byte-identical *)
     let who =
-      match j.jb_phase with
-      | Single -> Fmt.str "request %d" rq.Workload.rq_id
-      | p -> Fmt.str "request %d (%s)" rq.Workload.rq_id (phase_to_string p)
+      Fmt.str "request %d (%s)" rq.Workload.rq_id (phase_to_string j.jb_phase)
     in
     if attempt < cfg.retries then begin
       let ready = now +. (cfg.backoff_us *. float_of_int (attempt + 1)) in

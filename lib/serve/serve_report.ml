@@ -20,7 +20,7 @@ type summary = {
   s_peak_resident : int;
   s_dram_gb : float;         (** solo global-memory traffic served *)
   (* request-lifecycle counts; all zero unless deadlines/retries/caps or a
-     chaos fault actually fired, so baseline reports are unchanged *)
+     chaos fault actually fired *)
   s_retried : int;    (** requests completed after >= 1 faulted attempt *)
   s_timed_out : int;  (** deadline-cancelled in flight or expired queued *)
   s_rejected : int;   (** shed or rejected by admission control *)
@@ -33,10 +33,10 @@ type summary = {
   (* mega-kernel attribution; zero unless a mega artifact served requests *)
   s_mega : int;          (** completions served by a mega-kernel artifact *)
   s_elided : int;        (** kernel launches elided across those completions *)
-  (* prefill/decode attribution; zero unless generation requests ran, so
-     one-shot reports are unchanged.  Request-level latency stats above
-     count only {e terminal} completions (a generation request's last
-     decode step), so a 16-token request is one request, not 17 *)
+  (* prefill/decode attribution; zero unless generation requests ran.
+     Request-level latency stats above count only {e terminal} completions
+     (a generation request's last decode step), so a 16-token request is
+     one request, not 17 *)
   s_prefills : int;        (** prefill-phase completions *)
   s_decodes : int;         (** decode-step completions (tokens generated) *)
   s_prefill_p50_ms : float;  (** prefill phase latency (issue to finish) *)
@@ -47,14 +47,6 @@ type summary = {
       (** decode completions over the [first decode issue, last decode
           finish] window *)
 }
-
-(** Any lifecycle event at all?  False on every fault-free run. *)
-let lifecycle_active (s : summary) =
-  s.s_retried > 0 || s.s_timed_out > 0 || s.s_rejected > 0 || s.s_failed > 0
-  || s.s_faults > 0 || s.s_retries > 0
-
-(** Did any generation phase run?  False on every one-shot run. *)
-let gen_active (s : summary) = s.s_prefills > 0 || s.s_decodes > 0
 
 (** Nearest-rank percentile over a float array sorted with [Float.compare]
     (total order, so a stray NaN cannot scramble the sort the way
@@ -241,40 +233,30 @@ let summarize (o : Scheduler.outcome) : summary =
     s_tokens_per_s = tokens_per_s;
   }
 
-(* printed inside pp_summary's vbox; silent unless a lifecycle event fired,
-   which keeps fault-free output byte-identical to the pre-lifecycle layout *)
+(* the attribution lines printed inside pp_summary's vbox *)
 let pp_lifecycle ppf (s : summary) =
-  if lifecycle_active s then
-    Fmt.pf ppf
-      "@,lifecycle: retried %d  timed-out %d  rejected %d  failed %d  \
-       (faults %d, retries %d)"
-      s.s_retried s.s_timed_out s.s_rejected s.s_failed s.s_faults s.s_retries
+  Fmt.pf ppf
+    "@,lifecycle: retried %d  timed-out %d  rejected %d  failed %d  \
+     (faults %d, retries %d)"
+    s.s_retried s.s_timed_out s.s_rejected s.s_failed s.s_faults s.s_retries
 
-(* like {!pp_lifecycle}: silent on every one-shot run, so phase-free
-   output stays byte-identical to the goldens *)
 let pp_gen ppf (s : summary) =
-  if gen_active s then
-    Fmt.pf ppf
-      "@,generation: %d prefill(s) p50 %.3f p95 %.3f ms, %d token(s) p50 \
-       %.3f p95 %.3f ms, %.1f tok/s"
-      s.s_prefills s.s_prefill_p50_ms s.s_prefill_p95_ms s.s_decodes
-      s.s_decode_p50_ms s.s_decode_p95_ms s.s_tokens_per_s
+  Fmt.pf ppf
+    "@,generation: %d prefill(s) p50 %.3f p95 %.3f ms, %d token(s) p50 \
+     %.3f p95 %.3f ms, %.1f tok/s"
+    s.s_prefills s.s_prefill_p50_ms s.s_prefill_p95_ms s.s_decodes
+    s.s_decode_p50_ms s.s_decode_p95_ms s.s_tokens_per_s
 
-(* like {!pp_lifecycle}: silent on every unbatched run *)
 let pp_batching ppf (s : summary) =
-  if s.s_batched > 0 then
-    Fmt.pf ppf "@,batching: %d request(s) coalesced, mean bucket x%.2f"
-      s.s_batched s.s_mean_batch
+  Fmt.pf ppf "@,batching: %d request(s) coalesced, mean bucket x%.2f"
+    s.s_batched s.s_mean_batch
 
-(* like {!pp_lifecycle}: silent unless mega artifacts served requests, so
-   non-mega output stays byte-identical to the goldens *)
 let pp_mega ppf (s : summary) =
-  if s.s_mega > 0 then
-    Fmt.pf ppf
-      "@,mega: %d request(s) on persistent kernels, %d launch(es) elided \
-       (%.1f per request)"
-      s.s_mega s.s_elided
-      (float_of_int s.s_elided /. float_of_int s.s_mega)
+  Fmt.pf ppf
+    "@,mega: %d request(s) on persistent kernels, %d launch(es) elided \
+     (%.1f per request)"
+    s.s_mega s.s_elided
+    (float_of_int s.s_elided /. float_of_int (max 1 s.s_mega))
 
 let pp_summary ppf (s : summary) =
   Fmt.pf ppf
@@ -291,7 +273,7 @@ let pp_summary ppf (s : summary) =
 let summary_json (s : summary) : Jsonlite.t =
   let num n v = (n, Jsonlite.Num v) in
   Jsonlite.Obj
-    ([
+    [
       num "requests" (float_of_int s.s_requests);
       num "offered_rps" s.s_offered_rps;
       num "throughput_rps" s.s_throughput_rps;
@@ -307,57 +289,29 @@ let summary_json (s : summary) : Jsonlite.t =
       num "avg_resident" s.s_avg_resident;
       num "peak_resident" (float_of_int s.s_peak_resident);
       num "dram_gb" s.s_dram_gb;
+      num "prefills" (float_of_int s.s_prefills);
+      num "decodes" (float_of_int s.s_decodes);
+      num "prefill_p50_ms" s.s_prefill_p50_ms;
+      num "prefill_p95_ms" s.s_prefill_p95_ms;
+      num "decode_p50_ms" s.s_decode_p50_ms;
+      num "decode_p95_ms" s.s_decode_p95_ms;
+      num "tokens_per_s" s.s_tokens_per_s;
+      num "mega" (float_of_int s.s_mega);
+      num "launches_elided" (float_of_int s.s_elided);
+      num "batched" (float_of_int s.s_batched);
+      num "mean_batch" s.s_mean_batch;
+      num "retried" (float_of_int s.s_retried);
+      num "timed_out" (float_of_int s.s_timed_out);
+      num "rejected" (float_of_int s.s_rejected);
+      num "failed" (float_of_int s.s_failed);
+      num "faults" (float_of_int s.s_faults);
+      num "retries" (float_of_int s.s_retries);
     ]
-    @
-    (* generation attribution appears only when a prefill or decode phase
-       completed, so one-shot JSON stays byte-identical to the baseline *)
-    (if gen_active s then
-       [
-         num "prefills" (float_of_int s.s_prefills);
-         num "decodes" (float_of_int s.s_decodes);
-         num "prefill_p50_ms" s.s_prefill_p50_ms;
-         num "prefill_p95_ms" s.s_prefill_p95_ms;
-         num "decode_p50_ms" s.s_decode_p50_ms;
-         num "decode_p95_ms" s.s_decode_p95_ms;
-         num "tokens_per_s" s.s_tokens_per_s;
-       ]
-     else [])
-    @
-    (* mega attribution appears only when a mega artifact served requests,
-       so non-mega JSON stays byte-identical to the baseline *)
-    (if s.s_mega > 0 then
-       [
-         num "mega" (float_of_int s.s_mega);
-         num "launches_elided" (float_of_int s.s_elided);
-       ]
-     else [])
-    @
-    (* batching attribution appears only once a dispatch coalesced, so
-       unbatched JSON stays byte-identical to the baseline *)
-    (if s.s_batched > 0 then
-       [
-         num "batched" (float_of_int s.s_batched);
-         num "mean_batch" s.s_mean_batch;
-       ]
-     else [])
-    @
-    (* lifecycle counters appear only once a lifecycle event has fired, so
-       fault-free JSON stays byte-identical to the baseline *)
-    (if lifecycle_active s then
-       [
-         num "retried" (float_of_int s.s_retried);
-         num "timed_out" (float_of_int s.s_timed_out);
-         num "rejected" (float_of_int s.s_rejected);
-         num "failed" (float_of_int s.s_failed);
-         num "faults" (float_of_int s.s_faults);
-         num "retries" (float_of_int s.s_retries);
-       ]
-     else []))
 
 let completed_json (c : Scheduler.completed) : Jsonlite.t =
   let num n v = (n, Jsonlite.Num v) in
   Jsonlite.Obj
-    ([
+    [
       num "id" (float_of_int c.Scheduler.c_req.Workload.rq_id);
       ("model", Jsonlite.Str c.Scheduler.c_model);
       num "stream" (float_of_int c.Scheduler.c_stream);
@@ -368,49 +322,29 @@ let completed_json (c : Scheduler.completed) : Jsonlite.t =
       num "latency_us" (Scheduler.latency_us c);
       num "service_us" c.Scheduler.c_service_us;
       num "solo_us" c.Scheduler.c_solo_us;
+      num "retries" (float_of_int c.Scheduler.c_retries);
+      num "batch" (float_of_int c.Scheduler.c_batch);
+      num "launches_elided" (float_of_int c.Scheduler.c_elided);
+      ("phase", Jsonlite.Str (Scheduler.phase_to_string c.Scheduler.c_phase));
+      num "issue_us" c.Scheduler.c_issue_us;
+      num "phase_latency_us" (Scheduler.phase_latency_us c);
     ]
-    (* only retried requests carry the extra field: first-try completions
-       serialize exactly as before the lifecycle existed *)
-    @ (if c.Scheduler.c_retries > 0 then
-         [ num "retries" (float_of_int c.Scheduler.c_retries) ]
-       else [])
-    (* likewise, only batched members carry their bucket size *)
-    @ (if c.Scheduler.c_batch > 1 then
-         [ num "batch" (float_of_int c.Scheduler.c_batch) ]
-       else [])
-    (* and only mega-served requests carry their elided-launch count *)
-    @ (if c.Scheduler.c_mega then
-         [ num "launches_elided" (float_of_int c.Scheduler.c_elided) ]
-       else [])
-    (* generation phases carry their phase label and issue-relative latency;
-       one-shot completions serialize exactly as before phases existed *)
-    @ (if c.Scheduler.c_phase <> Scheduler.Single then
-         [
-           ( "phase",
-             Jsonlite.Str (Scheduler.phase_to_string c.Scheduler.c_phase) );
-           num "issue_us" c.Scheduler.c_issue_us;
-           num "phase_latency_us" (Scheduler.phase_latency_us c);
-         ]
-       else []))
 
 let aborted_json (a : Scheduler.aborted) : Jsonlite.t =
   let num n v = (n, Jsonlite.Num v) in
   Jsonlite.Obj
-    ([
-       num "id" (float_of_int a.Scheduler.a_req.Workload.rq_id);
-       ("model", Jsonlite.Str a.Scheduler.a_model);
-       num "try" (float_of_int a.Scheduler.a_try);
-       num "stream" (float_of_int a.Scheduler.a_stream);
-       num "slot" (float_of_int a.Scheduler.a_slot);
-       num "dispatch_us" a.Scheduler.a_dispatch_us;
-       num "end_us" a.Scheduler.a_end_us;
-       num "service_us" a.Scheduler.a_service_us;
-       ("reason", Jsonlite.Str (Scheduler.abort_reason_to_string a.Scheduler.a_reason));
-     ]
-    @
-    if a.Scheduler.a_phase <> Scheduler.Single then
-      [ ("phase", Jsonlite.Str (Scheduler.phase_to_string a.Scheduler.a_phase)) ]
-    else [])
+    [
+      num "id" (float_of_int a.Scheduler.a_req.Workload.rq_id);
+      ("model", Jsonlite.Str a.Scheduler.a_model);
+      num "try" (float_of_int a.Scheduler.a_try);
+      num "stream" (float_of_int a.Scheduler.a_stream);
+      num "slot" (float_of_int a.Scheduler.a_slot);
+      num "dispatch_us" a.Scheduler.a_dispatch_us;
+      num "end_us" a.Scheduler.a_end_us;
+      num "service_us" a.Scheduler.a_service_us;
+      ("reason", Jsonlite.Str (Scheduler.abort_reason_to_string a.Scheduler.a_reason));
+      ("phase", Jsonlite.Str (Scheduler.phase_to_string a.Scheduler.a_phase));
+    ]
 
 let dropped_json (d : Scheduler.dropped) : Jsonlite.t =
   Jsonlite.Obj
@@ -430,24 +364,23 @@ let failed_json ((r : Workload.request), t, attempts) : Jsonlite.t =
       ("attempts", Jsonlite.Num (float_of_int attempts));
     ]
 
-(** The whole outcome as JSON: configuration, summary, and one record per
-    completed request (the latency sample set behind the percentiles).
-    Aborted attempts, drops, and failed requests appear as extra arrays
-    only when present, so fault-free output is unchanged. *)
+(** The whole outcome as JSON: configuration, summary, one record per
+    completed request (the latency sample set behind the percentiles), and
+    the aborted attempts, drops, and failed requests (empty arrays on a
+    fault-free run). *)
 let outcome_json ?(label = "") (o : Scheduler.outcome) : Jsonlite.t =
-  let opt name xs f = if xs = [] then [] else [ (name, Jsonlite.Arr (List.map f xs)) ] in
+  let arr f xs = Jsonlite.Arr (List.map f xs) in
   Jsonlite.Obj
-    ([
-       ("label", Jsonlite.Str label);
-       ("policy", Jsonlite.Str (Scheduler.policy_to_string o.Scheduler.o_policy));
-       ("max_streams", Jsonlite.Num (float_of_int o.Scheduler.o_max_streams));
-       ("summary", summary_json (summarize o));
-       ( "requests",
-         Jsonlite.Arr (List.map completed_json o.Scheduler.o_completed) );
-     ]
-    @ opt "aborted" o.Scheduler.o_aborted aborted_json
-    @ opt "dropped" o.Scheduler.o_dropped dropped_json
-    @ opt "failed" o.Scheduler.o_failed failed_json)
+    [
+      ("label", Jsonlite.Str label);
+      ("policy", Jsonlite.Str (Scheduler.policy_to_string o.Scheduler.o_policy));
+      ("max_streams", Jsonlite.Num (float_of_int o.Scheduler.o_max_streams));
+      ("summary", summary_json (summarize o));
+      ("requests", arr completed_json o.Scheduler.o_completed);
+      ("aborted", arr aborted_json o.Scheduler.o_aborted);
+      ("dropped", arr dropped_json o.Scheduler.o_dropped);
+      ("failed", arr failed_json o.Scheduler.o_failed);
+    ]
 
 (** Stream-aware Chrome trace: one swimlane (thread row) per concurrency
     slot; each request is a complete-event span from arrival to finish with

@@ -272,9 +272,6 @@ let to_affine ~ov_ext ~rv_ext ~n_out ~n_red e =
     if !ok then Some (oc, rc, nf.Lin.const) else None
   end
 
-let is_affine ~ov_ext ~rv_ext e =
-  (to_nf ~ov_ext ~rv_ext e).Lin.atoms = []
-
 let equal (a : t) (b : t) = a = b
 
 (* Convenience constructors for the builder DSL. *)

@@ -70,7 +70,3 @@ let concat_axis ~(axis : int) (a : t) (b : t) : t =
     (fun i d -> if i = axis then d + b.(i) else if d = b.(i) then d
                 else invalid_arg "Shape.concat_axis: dim mismatch")
     a
-
-let broadcastable (a : t) (b : t) =
-  rank a = rank b
-  && Array.for_all2 (fun x y -> x = y || x = 1 || y = 1) a b

@@ -17,7 +17,6 @@ let () =
       ("robustness", Test_robustness.suite);
       ("baselines", Test_baselines.suite);
       ("extensions", Test_extensions.suite);
-      ("autodiff", Test_autodiff.suite);
       ("serialize", Test_serialize.suite);
       ("tir", Test_tir.suite);
       ("obs", Test_obs.suite);

@@ -1,7 +1,7 @@
-(* Tests for the compile-throughput layer: domain-parallel Ansor search,
-   the persistent schedule cache (Scache), and the reduced-space scheduling
-   retry.  The contract under test everywhere is determinism — parallelism
-   and caching must never change what gets compiled. *)
+(* Tests for the compile-throughput layer: domain-parallel Ansor search
+   and the persistent schedule cache (Scache).  The contract under test
+   everywhere is determinism — parallelism and caching must never change
+   what gets compiled. *)
 
 let tiny_programs () =
   List.map (fun (e : Zoo.entry) -> (e.Zoo.name, Lower.run (e.Zoo.tiny ()))) Zoo.all
@@ -192,35 +192,6 @@ let test_warm_cache_skips_search () =
   Alcotest.(check bool) "warm result identical to cold" true
     (r1.Souffle.sim = r2.Souffle.sim && r1.Souffle.prog = r2.Souffle.prog)
 
-(* ---- scheduling retry ---- *)
-
-let test_schedule_fault_recovers_via_retry () =
-  let p = Lower.run (Mmoe.create ~cfg:Mmoe.tiny ()) in
-  let result, trips =
-    Faultinject.with_fault (Faultinject.Fail_pass Diag.Schedule) (fun () ->
-        Souffle.compile_result p)
-  in
-  Alcotest.(check int) "fault tripped once" 1 trips;
-  match result with
-  | Error _ -> Alcotest.fail "compile failed despite the retry"
-  | Ok r ->
-      (* recovered at the SAME optimization level: no degradation step —
-         the default constructive pass took the fault and the exhaustive
-         enumeration fallback answered *)
-      Alcotest.(check (list Alcotest.string)) "no degradation recorded" []
-        (List.map (fun d -> d.Souffle.d_subject) r.Souffle.degraded);
-      Alcotest.(check bool) "exhaustive-search retry recorded as a warning"
-        true
-        (List.exists
-           (fun d ->
-             d.Diag.pass = Diag.Schedule
-             && (not (Diag.is_error d))
-             && Astring_contains.contains d.Diag.message "exhaustive")
-           r.Souffle.diags);
-      (match Souffle.verify ~rtol:1e-3 r with
-      | Ok () -> ()
-      | Error m -> Alcotest.failf "retry result not preserved: %s" m)
-
 (* ---- toposort ---- *)
 
 let test_toposort_stable_wavefront () =
@@ -292,8 +263,6 @@ let suite =
       test_cache_corrupt_and_stale;
     Alcotest.test_case "warm cache skips search" `Quick
       test_warm_cache_skips_search;
-    Alcotest.test_case "schedule fault recovers via retry" `Quick
-      test_schedule_fault_recovers_via_retry;
     Alcotest.test_case "report carries schedule table" `Quick
       test_report_scheds_cover_transformed;
   ]

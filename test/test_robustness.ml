@@ -114,13 +114,11 @@ let test_verifier_rejects_empty_kernel () =
 
 (* ---- fault injection: every pass, every zoo model ---- *)
 
-(* Diag.Schedule is absent: a single injected scheduling failure is now
-   absorbed by the reduced-space retry at the same optimization level (no
-   degradation step) — covered in test_perf.ml. *)
 let pass_faults =
   [
     Diag.Horizontal;
     Diag.Vertical;
+    Diag.Schedule;
     Diag.Partition;
     Diag.Emit;
     Diag.Simulate;

@@ -104,20 +104,15 @@ let test_tile_candidates_never_empty () =
      shapes like (1, hidden) *)
   List.iter
     (fun d ->
+      let cs = Ansor.tile_candidates d in
+      Alcotest.(check bool) (Fmt.str "non-empty for d=%d" d) true (cs <> []);
       List.iter
-        (fun space ->
-          let cs = Ansor.tile_candidates ~space d in
+        (fun t ->
           Alcotest.(check bool)
-            (Fmt.str "non-empty for d=%d" d)
-            true (cs <> []);
-          List.iter
-            (fun t ->
-              Alcotest.(check bool)
-                (Fmt.str "tile %d legal for d=%d" t d)
-                true
-                (t >= 1 && t <= max 1 d))
-            cs)
-        [ Ansor.Full; Ansor.Reduced ])
+            (Fmt.str "tile %d legal for d=%d" t d)
+            true
+            (t >= 1 && t <= max 1 d))
+        cs)
     [ 1; 2; 7; 8; 9; 16; 100; 512 ]
 
 let test_ansor_single_row_gemm_gets_grid () =

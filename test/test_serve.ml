@@ -714,6 +714,46 @@ let test_decode_fault_retries_same_position () =
   Alcotest.(check bool) "terminal completion is decode 2" true
     (Scheduler.is_terminal dec2 && not (Scheduler.is_terminal dec1))
 
+(* every summary field and every per-request field is serialized on every
+   run: a fault-free one-shot outcome and a chaos + generation outcome
+   expose the same key sets, so consumers never probe for optional keys *)
+let test_outcome_json_keys_unconditional () =
+  let keys what = function
+    | Jsonlite.Obj members -> List.map fst members
+    | _ -> Alcotest.failf "%s is not an object" what
+  in
+  let shape o =
+    let j = Serve_report.outcome_json o in
+    let member k =
+      match Jsonlite.member k j with
+      | Some v -> v
+      | None -> Alcotest.failf "outcome has no %s" k
+    in
+    let requests =
+      match Jsonlite.to_list (member "requests") with
+      | Some (_ :: _ as rs) -> rs
+      | _ -> Alcotest.fail "no completed requests"
+    in
+    let rkeys = keys "request" (List.hd requests) in
+    List.iter
+      (fun r ->
+        Alcotest.(check (list string)) "every request has the same keys" rkeys
+          (keys "request" r))
+      requests;
+    (keys "summary" (member "summary"), rkeys)
+  in
+  let one_shot =
+    shape (run_batch ~streams:2 [ light_artifact () ] (batch_of "light" 6))
+  in
+  let chaos =
+    { Faultinject.chaos_zero with
+      Faultinject.ch_seed = 7;
+      ch_fault_rate = 0.3 }
+  in
+  let gen = shape (run_gen ~retries:3 ~chaos [ gen_request 3 ]) in
+  Alcotest.(check (list string)) "same summary keys" (fst one_shot) (fst gen);
+  Alcotest.(check (list string)) "same request keys" (snd one_shot) (snd gen)
+
 let suite =
   [
     Alcotest.test_case "single stream equals solo Sim" `Quick
@@ -756,4 +796,6 @@ let suite =
     Alcotest.test_case "generation lifecycle" `Quick test_generation_lifecycle;
     Alcotest.test_case "decode fault retries same position" `Quick
       test_decode_fault_retries_same_position;
+    Alcotest.test_case "outcome JSON keys are unconditional" `Quick
+      test_outcome_json_keys_unconditional;
   ]
