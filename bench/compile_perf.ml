@@ -1,15 +1,14 @@
 (* Compile-throughput benchmark: measures what the fast-compilation layer
-   buys — constructive scheduling, the domain-parallel Ansor search and the
-   persistent schedule cache (Scache) — and checks, on every model, that
-   none of it costs kernel quality or determinism.
+   buys — constructive scheduling and the persistent schedule cache
+   (Scache) — and checks, on every model, that neither costs kernel quality
+   or determinism.
 
-   Four measured compiles per model, after one untimed warm-up compile of
+   Three measured compiles per model, after one untimed warm-up compile of
    the same program:
-     cold/construct   fresh cache, search_domains = 1, constructive
-                      scheduling (the default pipeline)
-     cold/exhaustive  fresh cache, search_domains = 1, full enumerative
-                      candidate search (the quality oracle)
-     cold/parallel    fresh cache, default domain count, constructive
+     cold/construct   fresh cache, constructive scheduling (the default
+                      pipeline)
+     cold/exhaustive  fresh cache, full enumerative candidate search (the
+                      quality oracle)
      warm             the cache the cold/construct run populated
 
    Each compile runs under [Obs.record], so besides end-to-end wall time we
@@ -21,13 +20,13 @@
 
    Gates recorded in the runlog, so --strict-bench fails the run:
      - every compiled artifact must be dataflow-clean;
-     - parallel search and warm-cache compiles must reproduce the
-       cold/construct artifact bit for bit;
+     - warm-cache compiles must reproduce the cold/construct artifact bit
+       for bit;
      - constructed schedules must hold kernel quality: per model, the
        simulated end-to-end runtime must stay within [quality_tol] of the
        exhaustive search's;
-     - the whole zoo must cold-compile (constructive, serial) within
-       [budget_s] end to end;
+     - the whole zoo must cold-compile (constructive) within [budget_s]
+       end to end;
      - on the full-size zoo, the cold-compile geomean speedup over the
        pre-overhaul baseline (the [prepr_cold_s] constants, measured at
        the commit before constructive scheduling and the non-search phase
@@ -57,7 +56,7 @@ let quality_tol = 0.05
    pre-overhaul compiler *)
 let min_geomean = 2.0
 
-(* full-size cold/serial compile seconds at the commit before this overhaul
+(* full-size cold compile seconds at the commit before this overhaul
    (exhaustive search, quadratic toposort, per-kernel consumer rebuilds) —
    the denominator of the geomean gate *)
 let prepr_cold_s =
@@ -77,10 +76,8 @@ type run = {
   sim : Sim.result;
 }
 
-let measure ~model ~label ?sched_cache ~domains ~search_mode (p : Program.t) :
-    run =
-  let ansor = { Ansor.default_config with Ansor.search_domains = domains } in
-  let cfg = Souffle.config ~ansor ~search_mode ?sched_cache () in
+let measure ~model ~label ?sched_cache ~search_mode (p : Program.t) : run =
+  let cfg = Souffle.config ~search_mode ?sched_cache () in
   let t0 = Unix.gettimeofday () in
   let r, trace =
     Obs.record (fun () ->
@@ -133,26 +130,16 @@ let bench_model ~graph_of (e : Zoo.entry) : string * run list =
   let cache = Scache.create () in
   let construct =
     measure ~model:e.Zoo.name ~label:"cold/construct" ~sched_cache:cache
-      ~domains:1 ~search_mode:Ansor.Construct p
+      ~search_mode:Ansor.Construct p
   in
   let exhaustive =
     measure ~model:e.Zoo.name ~label:"cold/exhaustive"
-      ~sched_cache:(Scache.create ()) ~domains:1
-      ~search_mode:Ansor.Exhaustive p
-  in
-  let parallel =
-    measure ~model:e.Zoo.name ~label:"cold/parallel"
-      ~sched_cache:(Scache.create ())
-      ~domains:(Domain.recommended_domain_count ())
-      ~search_mode:Ansor.Construct p
+      ~sched_cache:(Scache.create ()) ~search_mode:Ansor.Exhaustive p
   in
   let warm =
-    measure ~model:e.Zoo.name ~label:"warm" ~sched_cache:cache ~domains:1
+    measure ~model:e.Zoo.name ~label:"warm" ~sched_cache:cache
       ~search_mode:Ansor.Construct p
   in
-  if parallel.sim <> construct.sim then
-    gate_failure ~model:e.Zoo.name ~gate:"parallel-determinism"
-      "parallel search changed the compiled artifact";
   if warm.sim <> construct.sim then
     gate_failure ~model:e.Zoo.name ~gate:"warm-determinism"
       "warm-cache compile changed the compiled artifact";
@@ -168,7 +155,7 @@ let bench_model ~graph_of (e : Zoo.entry) : string * run list =
       "constructed schedules cost %.1f%% simulated runtime vs exhaustive \
        (tolerance %.0f%%): %.3f ms vs %.3f ms"
       (100. *. rel) (100. *. quality_tol) tc te;
-  (e.Zoo.name, [ construct; exhaustive; parallel; warm ])
+  (e.Zoo.name, [ construct; exhaustive; warm ])
 
 let json_of_run (r : run) : Jsonlite.t =
   Jsonlite.Obj
@@ -188,7 +175,7 @@ let ratio num den = if den > 0. then num /. den else 0.
 
 let run_with ~graph_of ~out ~budget_s ~geomean_gate () =
   Tables.section
-    "Compile throughput — constructive scheduling + parallel search + cache";
+    "Compile throughput — constructive scheduling + schedule cache";
   let results = List.map (bench_model ~graph_of) Zoo.all in
   Fmt.pr "  %-14s %-16s %12s %12s %12s %10s@." "model" "run" "compile(s)"
     "sim(ms)" "ansor(ms)" "searches";
@@ -205,7 +192,6 @@ let run_with ~graph_of ~out ~budget_s ~geomean_gate () =
   let cold_s = sum (fun rs -> (pick "cold/construct" rs).compile_s) in
   let exhaustive_s = sum (fun rs -> (pick "cold/exhaustive" rs).compile_s) in
   let warm_s = sum (fun rs -> (pick "warm" rs).compile_s) in
-  let parallel_s = sum (fun rs -> (pick "cold/parallel" rs).compile_s) in
   let cold_ansor = sum (fun rs -> (pick "cold/construct" rs).ansor_us) in
   let warm_ansor = sum (fun rs -> (pick "warm" rs).ansor_us) in
   let worst_quality =
@@ -256,10 +242,8 @@ let run_with ~graph_of ~out ~budget_s ~geomean_gate () =
   end;
   Fmt.pr "  ---@.";
   Fmt.pr
-    "  end-to-end:     construct %.2fx vs exhaustive, warm %.2fx, parallel \
-     %.2fx@."
-    (ratio exhaustive_s cold_s) (ratio cold_s warm_s)
-    (ratio cold_s parallel_s);
+    "  end-to-end:     construct %.2fx vs exhaustive, warm %.2fx@."
+    (ratio exhaustive_s cold_s) (ratio cold_s warm_s);
   Fmt.pr "  schedule phase: warm %.2fx vs cold/construct@."
     (ratio cold_ansor warm_ansor);
   Fmt.pr "  kernel quality: worst construct-vs-exhaustive gap %.2f%% (tol \
@@ -286,8 +270,6 @@ let run_with ~graph_of ~out ~budget_s ~geomean_gate () =
                ( "e2e_construct_speedup",
                  Jsonlite.Num (ratio exhaustive_s cold_s) );
                ("e2e_warm_speedup", Jsonlite.Num (ratio cold_s warm_s));
-               ( "e2e_parallel_speedup",
-                 Jsonlite.Num (ratio cold_s parallel_s) );
                ( "schedule_warm_speedup",
                  Jsonlite.Num (ratio cold_ansor warm_ansor) );
                ("quality_worst_rel", Jsonlite.Num worst_quality);
@@ -315,8 +297,8 @@ let run_with ~graph_of ~out ~budget_s ~geomean_gate () =
     (fun () -> output_string oc (Jsonlite.to_string json));
   Fmt.pr "  wrote %s@." out
 
-(* full-size models: the measurement run.  Budget: the whole zoo, cold and
-   serial, in 2.5 s — half of what the pre-overhaul compiler needed. *)
+(* full-size models: the measurement run.  Budget: the whole zoo, cold, in
+   2.5 s — half of what the pre-overhaul compiler needed. *)
 let run () =
   run_with
     ~graph_of:(fun e -> e.Zoo.full ())

@@ -1,71 +1,12 @@
 (* Benchmark harness entry point.
 
    `dune exec bench/main.exe` regenerates every table and figure of the
-   paper's evaluation and then runs the Bechamel micro-benchmarks of the
-   compiler passes (one Test.make per table/figure pipeline).  Pass a
-   section name to run only that section:
+   paper's evaluation and then runs the compile, serving, mega-kernel and
+   decode benchmarks.  Pass a section name to run only that section:
 
      dune exec bench/main.exe -- table1 table3 table4 table5 fig6 table6
-     dune exec bench/main.exe -- overhead bechamel
+     dune exec bench/main.exe -- overhead compile-perf
 *)
-
-open Bechamel
-open Toolkit
-
-(* one Bechamel test per table/figure: each times the full compile pipeline
-   that backs that experiment (the simulated execution is part of the
-   artifact, so it is included) *)
-let bechamel_tests () =
-  let bert_tiny = Lower.run (Bert.create ~cfg:Bert.tiny ()) in
-  let mmoe = Lower.run (Mmoe.create ()) in
-  let eff_sub = Lower.run (snd (List.hd Efficientnet.sub_modules)) in
-  let attention =
-    Lower.run
-      (Bert.attention_subgraph
-         ~cfg:{ Bert.base with Bert.layers = 1; seq = 128 }
-         ())
-  in
-  let lstm_small =
-    Lower.run (Lstm.create ~cfg:{ Lstm.steps = 10; cells = 4; hidden = 64 } ())
-  in
-  let compile p () = ignore (Souffle.compile p) in
-  let baseline s p () = ignore (Baseline.run s p) in
-  Test.make_grouped ~name:"souffle-bench"
-    [
-      Test.make ~name:"table1:attention-subgraph-souffle"
-        (Staged.stage (compile attention));
-      Test.make ~name:"table3:bert-tiny-souffle"
-        (Staged.stage (compile bert_tiny));
-      Test.make ~name:"table3:bert-tiny-tensorrt"
-        (Staged.stage (baseline Baseline.Tensorrt bert_tiny));
-      Test.make ~name:"table4:mmoe-ablation-v4" (Staged.stage (compile mmoe));
-      Test.make ~name:"table5:mmoe-xla"
-        (Staged.stage (baseline Baseline.Xla mmoe));
-      Test.make ~name:"fig6:efficientnet-submodule"
-        (Staged.stage (compile eff_sub));
-      Test.make ~name:"table6:lstm-small-souffle"
-        (Staged.stage (compile lstm_small));
-      Test.make ~name:"table6:lstm-small-rammer"
-        (Staged.stage (baseline Baseline.Rammer lstm_small));
-    ]
-
-let run_bechamel () =
-  Tables.section "Bechamel — compiler-pass micro-benchmarks (ns per run)";
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~stabilize:false ()
-  in
-  let raw = Benchmark.all cfg instances (bechamel_tests ()) in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Fmt.pr "  %-40s %12.0f ns/run@." name est
-      | _ -> Fmt.pr "  %-40s (no estimate)@." name)
-    results
 
 let sections : (string * (unit -> unit)) list =
   [
@@ -87,7 +28,6 @@ let sections : (string * (unit -> unit)) list =
     ("mega-perf-smoke", Mega_perf.smoke);
     ("decode-perf", Decode_perf.run);
     ("decode-perf-smoke", Decode_perf.smoke);
-    ("bechamel", run_bechamel);
   ]
 
 let () =

@@ -145,17 +145,6 @@ let sched_cache_arg =
     & opt (some string) None
     & info [ "schedule-cache" ] ~docv:"FILE" ~doc)
 
-let search_domains_arg =
-  let doc =
-    "Number of domains (OS threads) the Ansor candidate search fans out \
-     over; 1 forces a serial search.  Results are identical at any value.  \
-     Defaults to the machine's recommended domain count."
-  in
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "j"; "search-domains" ] ~docv:"N" ~doc)
-
 let search_mode_arg =
   let doc =
     "Schedule production strategy: $(b,construct) (default) builds one \
@@ -211,7 +200,7 @@ let search_mode_of_string s =
       Error (Fmt.str "unknown search mode %S (construct or exhaustive)" s)
 
 let compile_run model file tiny level cuda verify verify_dataflow strict
-    inject trace profile sched_cache_path search_domains search_mode mega =
+    inject trace profile sched_cache_path search_mode mega =
   protect Diag.Validate @@ fun () ->
   match
     ( resolve ~model ~file ~tiny,
@@ -225,13 +214,8 @@ let compile_run model file tiny level cuda verify verify_dataflow strict
       1
   | Ok p, Ok level, Ok (), Ok search_mode -> (
       let sched_cache = Option.map Scache.load sched_cache_path in
-      let ansor =
-        match search_domains with
-        | None -> Ansor.default_config
-        | Some n -> { Ansor.default_config with Ansor.search_domains = n }
-      in
       let cfg =
-        Souffle.config ~level ~ansor ~search_mode ?sched_cache ~mega ()
+        Souffle.config ~level ~search_mode ?sched_cache ~mega ()
       in
       let compile () =
         Fun.protect ~finally:Faultinject.disarm (fun () ->
@@ -301,8 +285,8 @@ let compile_cmd =
     Term.(
       const compile_run $ model_opt_arg $ file_arg $ tiny_arg $ level_arg
       $ cuda_arg $ verify_arg $ verify_dataflow_arg $ strict_arg $ inject_arg
-      $ trace_arg $ profile_arg $ sched_cache_arg $ search_domains_arg
-      $ search_mode_arg $ mega_arg)
+      $ trace_arg $ profile_arg $ sched_cache_arg $ search_mode_arg
+      $ mega_arg)
 
 let compare_run model tiny =
   protect Diag.Simulate @@ fun () ->

@@ -12,8 +12,8 @@
     (seed, spec) pair always fails the same subprogram of the same model.
 
     Concurrency: the armed fault is keyed per domain ([Domain.DLS]), i.e.
-    per compilation context — the parallel Ansor search and concurrent
-    compiles each see their own (initially disarmed) slot instead of racing
+    per compilation context — library callers that compile on several
+    domains each see their own (initially disarmed) slot instead of racing
     on one global cell. *)
 
 type spec =
@@ -66,9 +66,9 @@ type armed = {
 }
 
 (* The armed fault is domain-local state: each domain (compilation context)
-   gets its own slot, so the parallel Ansor search — and, eventually,
-   concurrent compilations — cannot race on one global cell or trip a fault
-   armed by another context.  Freshly spawned domains start disarmed. *)
+   gets its own slot, so compilations running on different domains cannot
+   race on one global cell or trip a fault armed by another context.
+   Freshly spawned domains start disarmed. *)
 let state_key : armed option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 

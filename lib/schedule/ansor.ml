@@ -7,34 +7,29 @@
     artifacts Souffle needs from its schedule optimizer ("get required
     resource", §5.4).
 
-    Compile throughput (the production hot path) is addressed on three
+    Compile throughput (the production hot path) is addressed on two
     axes:
 
     - {b pruned enumeration}: candidates are built into a pre-sized array
       with infeasible tile/thread combinations rejected before a [Sched.t]
       is ever allocated, and all per-TE invariants of the cost model are
       hoisted out of the per-candidate estimator;
-    - {b parallel search}: the unique structural keys of a program are
-      partitioned across OCaml domains ({!config.search_domains}); the
-      merged table is bit-identical to the serial search because each key
-      is searched by the same deterministic procedure and merged by key,
-      never by domain timing;
     - {b schedule reuse}: an optional {!store} (an in-memory ladder cache,
       a persistent cross-run cache, or both layered) is consulted under the
       canonical {!structural_key} before any candidate is enumerated — a
-      warm store skips the search entirely. *)
+      warm store skips the search entirely.
+
+    The remaining keys are searched serially, one after another: at ~50
+    cost evaluations per constructed key there is nothing for a domain
+    fan-out to amortise (see [docs/COMPILE_PERF.md]). *)
 
 type config = {
   eff_cap : float;
       (** fraction of pipeline peak the code generator's inner loop
           achieves on large tiles; baseline profiles vary it *)
-  search_domains : int;
-      (** domains to fan the candidate search over; [<= 1] searches
-          serially.  Never affects the resulting schedules. *)
 }
 
-let default_config =
-  { eff_cap = 0.60; search_domains = Domain.recommended_domain_count () }
+let default_config = { eff_cap = 0.60 }
 
 (** How a schedule was produced.  {!Exhaustive} is this module's candidate
     enumeration; {!Construct} is the greedy construction-based scheduler
@@ -257,7 +252,7 @@ let feasible (dev : Device.t) (p : Program.t) (te : Te.t) (s : Sched.t) =
 (** Search the candidate space for the lowest-latency feasible schedule.
     Deterministic tie-breaking: of equal-cost candidates the one enumerated
     first wins, so the result is a function of (config, dev, te) only —
-    never of timing, domain count, or table iteration order. *)
+    never of timing or table iteration order. *)
 let schedule_te ?(config = default_config) (dev : Device.t)
     (p : Program.t) (te : Te.t) : Sched.t =
   if not (Te.has_reduction te) then
@@ -297,8 +292,7 @@ let schedule_te ?(config = default_config) (dev : Device.t)
 
 (** Canonical structural key of a TE for schedule reuse: device, the
     scheduling mode that produced the schedule, the scheduling-relevant
-    part of the search configuration ([eff_cap] — and deliberately {e not}
-    [search_domains], which never changes results), and the TE's structure
+    part of the search configuration ([eff_cap]), and the TE's structure
     (output shape, reduction axes, provenance tag, arithmetic ops, access
     count, output and input dtypes).  Two TEs with equal keys receive
     bit-identical schedules, which is what makes both the per-program memo
@@ -334,43 +328,6 @@ type store = {
 
 (* ---- whole-program scheduling --------------------------------------- *)
 
-(* Fan-out is only worth a domain spawn when several keys actually need
-   searching... *)
-let min_parallel_keys = 2
-
-(* ...and when the total work is large enough to amortize spawn + join
-   overhead (~100µs per domain).  Work is measured in candidate
-   evaluations: an exhaustive key visits the full cross-product (a few
-   hundred evaluations, ~1µs each), a constructed key a few dozen, so the
-   threshold corresponds to several milliseconds of serial search — below
-   that, spawning was measured to win ~nothing (the 1.05x "speedup" of the
-   zoo bench) and can even lose. *)
-let min_parallel_work = 8192
-
-(* Approximate candidate evaluations one key costs under each mode. *)
-let evals_hint = function Exhaustive -> 384 | Construct -> 50
-
-(* Split [items] into [n] contiguous chunks whose concatenation is
-   [items]. *)
-let chunk n items =
-  let len = List.length items in
-  let base = len / n and extra = len mod n in
-  let rec take k acc l =
-    if k = 0 then (List.rev acc, l)
-    else
-      match l with
-      | [] -> (List.rev acc, [])
-      | x :: rest -> take (k - 1) (x :: acc) rest
-  in
-  let rec go i l =
-    if i >= n || l = [] then []
-    else
-      let size = base + if i < extra then 1 else 0 in
-      let c, rest = take size [] l in
-      if c = [] then go (i + 1) rest else c :: go (i + 1) rest
-  in
-  go 0 items
-
 (** The per-TE procedure {!schedule_program} runs for every unresolved key,
     together with the {!mode} tag recorded in those keys.  The default is
     this module's exhaustive search; [Construct.scheduler] plugs the
@@ -389,9 +346,9 @@ let exhaustive_scheduler : scheduler =
 (** Schedule every TE of a program.  Identical structures are searched once
     (memoized on {!structural_key}, since models repeat identical layers
     many times); keys the [store] already knows skip the search entirely;
-    the remaining keys are searched across [config.search_domains] domains.
-    The resulting table is bit-identical regardless of domain count or
-    store warmth built from searches of the same [scheduler]. *)
+    the remaining keys are searched in program order.  The resulting table
+    is bit-identical regardless of store warmth built from searches of the
+    same [scheduler]. *)
 let schedule_program ?(scheduler = exhaustive_scheduler)
     ?(config = default_config) ?store (dev : Device.t)
     (p : Program.t) : (string, Sched.t) Hashtbl.t =
@@ -426,80 +383,18 @@ let schedule_program ?(scheduler = exhaustive_scheduler)
   in
   let store_hits = List.length uniq - List.length missing in
   let searched = List.length missing in
-  (* search the remaining keys, serially or fanned over domains *)
-  let domains =
-    min config.search_domains (max 1 searched)
-  in
-  let parallel =
-    searched >= min_parallel_keys
-    && domains > 1
-    && searched * evals_hint mode >= min_parallel_work
-  in
-  if parallel then begin
-    (* Workers must not touch the Obs collector (single-domain state), so
-       per-key timings are measured locally and re-emitted as marker spans
-       after the join.  The program's name index is primed first: workers
-       only ever read it. *)
-    Program.prime_index p;
-    let search_chunk part () =
-      List.map
-        (fun (key, te) ->
-          let t0 = Unix.gettimeofday () in
-          let s = schedule_one te in
-          (key, te, s, (Unix.gettimeofday () -. t0) *. 1e6))
-        part
-    in
-    let spawned =
-      List.map (fun part -> Domain.spawn (search_chunk part))
-        (chunk domains missing)
-    in
-    let joined =
-      List.map (fun d -> try Ok (Domain.join d) with e -> Error e) spawned
-    in
-    List.iter
-      (fun r ->
-        match r with
-        | Ok results ->
-            List.iter
-              (fun (key, (te : Te.t), s, dur_us) ->
-                (* marker span: the search ran on a worker domain; its
-                   measured duration rides in the metadata *)
-                Obs.span
-                  ~meta:
-                    [
-                      ("te", te.Te.name);
-                      ("search_us", Fmt.str "%.1f" dur_us);
-                    ]
-                  "ansor-search"
-                  (fun () -> ());
-                Hashtbl.replace resolved key s)
-              results
-        | Error _ -> ())
-      joined;
-    (* re-raise the first worker failure only after every domain joined *)
-    List.iter (function Error e -> raise e | Ok _ -> ()) joined
-  end
-  else
-    List.iter
-      (fun (key, te) ->
-        let s =
-          Obs.span ~meta:[ ("te", te.Te.name) ] "ansor-search" (fun () ->
-              schedule_one te)
-        in
-        Hashtbl.replace resolved key s)
-      missing;
-  Option.iter
-    (fun st ->
-      List.iter
-        (fun (key, _) ->
-          match Hashtbl.find_opt resolved key with
-          | Some s -> st.add key s
-          | None -> ())
-        missing)
-    store;
+  (* search the remaining keys, feeding each result to the store *)
+  List.iter
+    (fun (key, te) ->
+      let s =
+        Obs.span ~meta:[ ("te", te.Te.name) ] "ansor-search" (fun () ->
+            schedule_one te)
+      in
+      Hashtbl.replace resolved key s;
+      Option.iter (fun st -> st.add key s) store)
+    missing;
   Obs.annotate "store_hits" (string_of_int store_hits);
   Obs.annotate "searched" (string_of_int searched);
-  Obs.annotate "domains" (string_of_int (if parallel then domains else 1));
   Obs.annotate "mode" (mode_tag mode);
   (* merge into the per-TE table in program order *)
   let table = Hashtbl.create 64 in

@@ -19,8 +19,8 @@
     Determinism: the result is a function of (config, dev, te) only.  Ties
     inside one coordinate scan resolve to the earliest option in the list,
     and the pass/coordinate order is fixed, so there is nothing
-    timing-dependent to diverge — the property the schedule cache and the
-    serial==parallel artifact guarantee rest on. *)
+    timing-dependent to diverge — the property the schedule cache rests
+    on. *)
 
 (* Descent passes over the coordinate list.  Two passes suffice for this
    cost model: the second pass re-checks every coordinate after the first
@@ -189,8 +189,7 @@ let scheduler : Ansor.scheduler =
 
 (** {!Ansor.schedule_program} driven by construction instead of
     enumeration: same memoization on structural keys, same store protocol,
-    same domain fan-out (which the work threshold makes rare — constructed
-    keys are too cheap to be worth a spawn).  Cost per TE is
+    same serial per-key loop.  Cost per TE is
     passes x (|tiles|·|splits| + |tiles| + |rtiles| + |threads|) ≈ 50
     evaluations, still an order of magnitude under enumeration. *)
 let schedule_program ?config ?store (dev : Device.t) (p : Program.t) :

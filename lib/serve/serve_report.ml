@@ -240,12 +240,17 @@ let pp_lifecycle ppf (s : summary) =
      (faults %d, retries %d)"
     s.s_retried s.s_timed_out s.s_rejected s.s_failed s.s_faults s.s_retries
 
+(* A statistic over no samples is [nan]; the text prints it as 0, the
+   value the JSON clamps it to ([Jsonlite.number_to_string]). *)
+let stat v = if Float.is_nan v then 0. else v
+
 let pp_gen ppf (s : summary) =
   Fmt.pf ppf
     "@,generation: %d prefill(s) p50 %.3f p95 %.3f ms, %d token(s) p50 \
      %.3f p95 %.3f ms, %.1f tok/s"
-    s.s_prefills s.s_prefill_p50_ms s.s_prefill_p95_ms s.s_decodes
-    s.s_decode_p50_ms s.s_decode_p95_ms s.s_tokens_per_s
+    s.s_prefills (stat s.s_prefill_p50_ms) (stat s.s_prefill_p95_ms)
+    s.s_decodes (stat s.s_decode_p50_ms) (stat s.s_decode_p95_ms)
+    s.s_tokens_per_s
 
 let pp_batching ppf (s : summary) =
   Fmt.pf ppf "@,batching: %d request(s) coalesced, mean bucket x%.2f"
@@ -265,9 +270,9 @@ let pp_summary ppf (s : summary) =
      service: mean %.3f ms, slowdown x%.2f vs solo@,\
      makespan: %.3f ms, DRAM served: %.3f GB@,\
      occupancy: avg %.1f SMs demanded, %.2f streams resident (peak %d)%a%a%a%a@]"
-    s.s_requests s.s_offered_rps s.s_throughput_rps s.s_p50_ms s.s_p95_ms
-    s.s_p99_ms s.s_mean_ms s.s_max_ms s.s_mean_service_ms s.s_mean_slowdown
-    s.s_makespan_ms s.s_dram_gb s.s_avg_sm_demand s.s_avg_resident
+    s.s_requests s.s_offered_rps s.s_throughput_rps (stat s.s_p50_ms)
+    (stat s.s_p95_ms) (stat s.s_p99_ms) (stat s.s_mean_ms) s.s_max_ms
+    (stat s.s_mean_service_ms) (stat s.s_mean_slowdown) s.s_makespan_ms s.s_dram_gb s.s_avg_sm_demand s.s_avg_resident
     s.s_peak_resident pp_gen s pp_mega s pp_batching s pp_lifecycle s
 
 let summary_json (s : summary) : Jsonlite.t =

@@ -26,17 +26,16 @@ let te_names p = List.map (fun (te : Te.t) -> te.Te.name) p.tes
    without going stale.  Instead a small side memo keyed by the *physical
    identity* of the program value caches one index per program generation;
    entries die with their program (weak keys).  Access is mutex-guarded so
-   parallel Ansor-search domains can consult the index concurrently — the
-   cached tables themselves are never mutated after construction, making
-   unsynchronized concurrent reads safe. *)
+   library callers compiling on several domains can consult the index
+   concurrently — the cached tables themselves are never mutated after
+   construction, making unsynchronized concurrent reads safe. *)
 
 type index = {
   te_by_name : (string, Te.t) Hashtbl.t;
   info_by_name : (string, tensor_info) Hashtbl.t;
   mutable consumers_memo : Te.t list SMap.t option;
-      (** lazily-built {!consumers} map; guarded by [index_lock] (it is
-          only consulted by main-domain passes — emission, dataflow — but
-          the guard keeps the whole index domain-safe) *)
+      (** lazily-built {!consumers} map; guarded by [index_lock] so the
+          whole index stays domain-safe *)
 }
 
 let index_memo : (Obj.t Weak.t * index) list ref = ref []
@@ -82,10 +81,6 @@ let index_of (p : t) : index =
         (w, idx)
         :: List.filter (fun (w, _) -> Weak.check w 0) !index_memo;
       idx
-
-(** Force the index to exist — called before fanning work out to domains so
-    workers only ever read an already-built table. *)
-let prime_index (p : t) : unit = ignore (index_of p)
 
 let find_te p name = Hashtbl.find_opt (index_of p).te_by_name name
 

@@ -1,52 +1,9 @@
-(* Tests for the compile-throughput layer: domain-parallel Ansor search
-   and the persistent schedule cache (Scache).  The contract under test
-   everywhere is determinism — parallelism and caching must never change
-   what gets compiled. *)
+(* Tests for the compile-throughput layer: constructive scheduling and the
+   persistent schedule cache (Scache).  The contract under test everywhere
+   is determinism — caching must never change what gets compiled. *)
 
 let tiny_programs () =
   List.map (fun (e : Zoo.entry) -> (e.Zoo.name, Lower.run (e.Zoo.tiny ()))) Zoo.all
-
-let sorted_bindings (tbl : (string, Sched.t) Hashtbl.t) =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-(* ---- parallel search determinism ---- *)
-
-let test_parallel_matches_serial () =
-  List.iter
-    (fun (name, p) ->
-      let serial =
-        Ansor.schedule_program
-          ~config:{ Ansor.default_config with Ansor.search_domains = 1 }
-          Device.a100 p
-      in
-      let parallel =
-        Ansor.schedule_program
-          ~config:{ Ansor.default_config with Ansor.search_domains = 4 }
-          Device.a100 p
-      in
-      Alcotest.(check bool)
-        (name ^ ": parallel schedule table identical to serial")
-        true
-        (sorted_bindings serial = sorted_bindings parallel))
-    (tiny_programs ())
-
-let test_parallel_compile_identical () =
-  (* end to end: the whole compiled artifact, not just the schedule table *)
-  let p = Lower.run (Bert.create ~cfg:Bert.tiny ()) in
-  let at domains =
-    let ansor =
-      { Ansor.default_config with Ansor.search_domains = domains }
-    in
-    match Souffle.compile_result ~cfg:(Souffle.config ~ansor ()) p with
-    | Ok r -> r
-    | Error _ -> Alcotest.fail "compile failed"
-  in
-  let serial = at 1 and parallel = at 4 in
-  Alcotest.(check bool) "simulated execution identical" true
-    (serial.Souffle.sim = parallel.Souffle.sim);
-  Alcotest.(check bool) "kernel IR identical" true
-    (serial.Souffle.prog = parallel.Souffle.prog)
 
 (* ---- constructive scheduling ---- *)
 
@@ -77,22 +34,6 @@ let test_construct_quality_parity () =
           "%s: constructed schedules cost %.1f%% simulated runtime vs \
            exhaustive (%.4f ms vs %.4f ms)"
           name (100. *. rel) tc te)
-    (tiny_programs ())
-
-let test_construct_parallel_matches_serial () =
-  (* construction is per-TE and deterministic; fanning the per-key work out
-     over domains must not change the schedule table *)
-  List.iter
-    (fun (name, p) ->
-      let at domains =
-        Ansor.schedule_program ~scheduler:Construct.scheduler
-          ~config:{ Ansor.default_config with Ansor.search_domains = domains }
-          Device.a100 p
-      in
-      Alcotest.(check bool)
-        (name ^ ": constructed table identical across search domains")
-        true
-        (sorted_bindings (at 1) = sorted_bindings (at 4)))
     (tiny_programs ())
 
 (* ---- persistent cache ---- *)
@@ -246,18 +187,12 @@ let test_report_scheds_cover_transformed () =
 
 let suite =
   [
-    Alcotest.test_case "parallel search matches serial" `Quick
-      test_parallel_matches_serial;
     Alcotest.test_case "construct quality parity with exhaustive" `Quick
       test_construct_quality_parity;
-    Alcotest.test_case "construct parallel matches serial" `Quick
-      test_construct_parallel_matches_serial;
     Alcotest.test_case "cache roundtrip of constructed entries" `Quick
       test_cache_roundtrip_construct;
     Alcotest.test_case "toposort stable wavefront order" `Quick
       test_toposort_stable_wavefront;
-    Alcotest.test_case "parallel compile identical" `Quick
-      test_parallel_compile_identical;
     Alcotest.test_case "cache roundtrip" `Quick test_cache_roundtrip;
     Alcotest.test_case "cache corrupt and stale files" `Quick
       test_cache_corrupt_and_stale;

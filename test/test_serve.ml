@@ -754,6 +754,16 @@ let test_outcome_json_keys_unconditional () =
   Alcotest.(check (list string)) "same summary keys" (fst one_shot) (fst gen);
   Alcotest.(check (list string)) "same request keys" (snd one_shot) (snd gen)
 
+(* a statistic over no samples is nan internally; the text summary prints
+   it as 0, like the JSON — a one-shot run has no prefill or decode samples *)
+let test_summary_text_has_no_nan () =
+  let o = run_batch ~streams:2 [ light_artifact () ] (batch_of "light" 6) in
+  let text = Fmt.str "%a" Serve_report.pp_summary (Serve_report.summarize o) in
+  Alcotest.(check bool)
+    ("no nan in: " ^ text)
+    false
+    (Astring_contains.contains text "nan")
+
 let suite =
   [
     Alcotest.test_case "single stream equals solo Sim" `Quick
@@ -798,4 +808,6 @@ let suite =
       test_decode_fault_retries_same_position;
     Alcotest.test_case "outcome JSON keys are unconditional" `Quick
       test_outcome_json_keys_unconditional;
+    Alcotest.test_case "summary text prints no nan" `Quick
+      test_summary_text_has_no_nan;
   ]
