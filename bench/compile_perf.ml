@@ -7,8 +7,10 @@
    the same program:
      cold/construct   fresh cache, constructive scheduling (the default
                       pipeline)
-     cold/exhaustive  fresh cache, full enumerative candidate search (the
-                      quality oracle)
+     cold/exhaustive  the quality oracle: a fresh cache seeded, inside the
+                      timed window, by the enumerative search over the
+                      program cold/construct scheduled, then a compile
+                      that finds every key there
      warm             the cache the cold/construct run populated
 
    Each compile runs under [Obs.record], so besides end-to-end wall time we
@@ -68,7 +70,6 @@ let prepr_cold_s =
 
 type run = {
   label : string;
-  search_mode : Ansor.mode;
   compile_s : float;     (* end-to-end wall seconds *)
   ansor_us : float;      (* schedule-phase ("ansor" spans) microseconds *)
   searches : int;        (* "ansor-search" spans: candidate searches done *)
@@ -76,11 +77,14 @@ type run = {
   sim : Sim.result;
 }
 
-let measure ~model ~label ?sched_cache ~search_mode (p : Program.t) : run =
-  let cfg = Souffle.config ~search_mode ?sched_cache () in
+(* [seed] runs inside the timed window, before the compile *)
+let measure ~model ~label ?sched_cache ?(seed = ignore) (p : Program.t) :
+    run * Souffle.report =
+  let cfg = Souffle.config ?sched_cache () in
   let t0 = Unix.gettimeofday () in
   let r, trace =
     Obs.record (fun () ->
+        seed ();
         Tables.compile_recorded ~cfg ~name:(model ^ "/" ^ label) p)
   in
   (* artifact-quality check: the compiled program must be dataflow-clean
@@ -100,15 +104,15 @@ let measure ~model ~label ?sched_cache ~search_mode (p : Program.t) : run =
       Runlog.record Tables.runlog
         ~model:(model ^ "/" ^ label ^ "@dataflow")
         ~degraded_steps:0 ~errors:(List.length ds));
-  {
-    label;
-    search_mode;
-    compile_s = Unix.gettimeofday () -. t0;
-    ansor_us = Obs.total_us trace "ansor";
-    searches = spans_named trace "ansor-search";
-    phases = List.map (fun n -> (n, Obs.total_us trace n)) phase_names;
-    sim = r.Souffle.sim;
-  }
+  ( {
+      label;
+      compile_s = Unix.gettimeofday () -. t0;
+      ansor_us = Obs.total_us trace "ansor";
+      searches = spans_named trace "ansor-search";
+      phases = List.map (fun n -> (n, Obs.total_us trace n)) phase_names;
+      sim = r.Souffle.sim;
+    },
+    r )
 
 (* a failed determinism or quality gate is a bench error, not just noise on
    stderr: record it so --strict-bench fails the run *)
@@ -128,18 +132,23 @@ let bench_model ~graph_of (e : Zoo.entry) : string * run list =
      otherwise all land on whichever measured run comes first *)
   ignore (Souffle.compile_result p);
   let cache = Scache.create () in
-  let construct =
-    measure ~model:e.Zoo.name ~label:"cold/construct" ~sched_cache:cache
-      ~search_mode:Ansor.Construct p
+  let construct, r =
+    measure ~model:e.Zoo.name ~label:"cold/construct" ~sched_cache:cache p
   in
-  let exhaustive =
-    measure ~model:e.Zoo.name ~label:"cold/exhaustive"
-      ~sched_cache:(Scache.create ()) ~search_mode:Ansor.Exhaustive p
+  (* the front end runs before scheduling, so the transformed program does
+     not depend on the scheduler: enumerating its keys into the oracle's
+     cache leaves the compile nothing to search *)
+  let oracle = Scache.create () in
+  let seed () =
+    ignore
+      (Ansor.schedule_program ~store:(Scache.store oracle) Tables.dev
+         r.Souffle.transformed)
   in
-  let warm =
-    measure ~model:e.Zoo.name ~label:"warm" ~sched_cache:cache
-      ~search_mode:Ansor.Construct p
+  let exhaustive, _ =
+    measure ~model:e.Zoo.name ~label:"cold/exhaustive" ~sched_cache:oracle
+      ~seed p
   in
+  let warm, _ = measure ~model:e.Zoo.name ~label:"warm" ~sched_cache:cache p in
   if warm.sim <> construct.sim then
     gate_failure ~model:e.Zoo.name ~gate:"warm-determinism"
       "warm-cache compile changed the compiled artifact";
@@ -161,7 +170,6 @@ let json_of_run (r : run) : Jsonlite.t =
   Jsonlite.Obj
     [
       ("label", Jsonlite.Str r.label);
-      ("search_mode", Jsonlite.Str (Ansor.mode_tag r.search_mode));
       ("compile_s", Jsonlite.Num r.compile_s);
       ("sim_time_ms", Jsonlite.Num (Sim.time_ms r.sim));
       ("ansor_us", Jsonlite.Num r.ansor_us);

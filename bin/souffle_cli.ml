@@ -4,7 +4,6 @@
      souffle list
      souffle compile  --model bert [--level v4] [--tiny] [--cuda] [--verify]
                       [--verify-dataflow] [--strict] [--inject FAULT]
-                      [--search-mode construct|exhaustive]
      souffle compare  --model bert [--tiny]
      souffle analyze  --model mmoe [--tiny]
      souffle serve    --mix bert=2,mmoe --rate 50000 --requests 64
@@ -145,18 +144,6 @@ let sched_cache_arg =
     & opt (some string) None
     & info [ "schedule-cache" ] ~docv:"FILE" ~doc)
 
-let search_mode_arg =
-  let doc =
-    "Schedule production strategy: $(b,construct) (default) builds one \
-     schedule per TE by greedy construction under the analytic cost model \
-     (a handful of candidate evaluations per TE); $(b,exhaustive) \
-     enumerates the full Ansor candidate space (the quality oracle).  The \
-     two modes cache separately; a failing scheduler degrades the program \
-     one optimization level, like any other front-end pass."
-  in
-  Arg.(
-    value & opt string "construct" & info [ "search-mode" ] ~docv:"MODE" ~doc)
-
 let inject_arg =
   let doc =
     "Arm the fault-injection harness before compiling: a pass name \
@@ -193,30 +180,20 @@ let arm_fault = function
           Ok ()
       | Error m -> Error m)
 
-let search_mode_of_string s =
-  match Ansor.mode_of_string (String.lowercase_ascii s) with
-  | Some m -> Ok m
-  | None ->
-      Error (Fmt.str "unknown search mode %S (construct or exhaustive)" s)
-
 let compile_run model file tiny level cuda verify verify_dataflow strict
-    inject trace profile sched_cache_path search_mode mega =
+    inject trace profile sched_cache_path mega =
   protect Diag.Validate @@ fun () ->
   match
     ( resolve ~model ~file ~tiny,
       level_of_string (String.lowercase_ascii level),
-      arm_fault inject,
-      search_mode_of_string search_mode )
+      arm_fault inject )
   with
-  | Error m, _, _, _ | _, Error m, _, _ | _, _, Error m, _ | _, _, _, Error m
-    ->
+  | Error m, _, _ | _, Error m, _ | _, _, Error m ->
       Fmt.epr "error: %s@." m;
       1
-  | Ok p, Ok level, Ok (), Ok search_mode -> (
+  | Ok p, Ok level, Ok () -> (
       let sched_cache = Option.map Scache.load sched_cache_path in
-      let cfg =
-        Souffle.config ~level ~search_mode ?sched_cache ~mega ()
-      in
+      let cfg = Souffle.config ~level ?sched_cache ~mega () in
       let compile () =
         Fun.protect ~finally:Faultinject.disarm (fun () ->
             Souffle.compile_result ~cfg ~strict p)
@@ -285,8 +262,7 @@ let compile_cmd =
     Term.(
       const compile_run $ model_opt_arg $ file_arg $ tiny_arg $ level_arg
       $ cuda_arg $ verify_arg $ verify_dataflow_arg $ strict_arg $ inject_arg
-      $ trace_arg $ profile_arg $ sched_cache_arg $ search_mode_arg
-      $ mega_arg)
+      $ trace_arg $ profile_arg $ sched_cache_arg $ mega_arg)
 
 let compare_run model tiny =
   protect Diag.Simulate @@ fun () ->
@@ -472,7 +448,7 @@ let validate_mix (mix : Workload.mix) : (unit, Diag.t) result =
 
 let serve_run mix rate requests streams policy seed tiny level strict
     json_out trace_out chaos_spec deadline_ms retries backoff_us queue_cap
-    drop batch_max gen sched_cache_path search_mode mega =
+    drop batch_max gen sched_cache_path mega =
   protect Diag.Simulate @@ fun () ->
   let mix_spec = mix in
   let fail m =
@@ -482,14 +458,12 @@ let serve_run mix rate requests streams policy seed tiny level strict
   match
     ( Workload.parse_mix mix,
       Scheduler.policy_of_string (String.lowercase_ascii policy),
-      level_of_string (String.lowercase_ascii level),
-      search_mode_of_string search_mode )
+      level_of_string (String.lowercase_ascii level) )
   with
-  | Error m, _, _, _ -> fail m
-  | _, None, _, _ -> fail (Fmt.str "unknown policy %S (fifo or sel)" policy)
-  | _, _, Error m, _ -> fail m
-  | _, _, _, Error m -> fail m
-  | Ok mix, Some policy, Ok level, Ok search_mode ->
+  | Error m, _, _ -> fail m
+  | _, None, _ -> fail (Fmt.str "unknown policy %S (fifo or sel)" policy)
+  | _, _, Error m -> fail m
+  | Ok mix, Some policy, Ok level ->
       if streams < 1 then fail "--streams must be >= 1"
       else if requests < 1 then fail "--requests must be >= 1"
       else if batch_max < 1 then fail "--batch-max must be >= 1"
@@ -498,7 +472,7 @@ let serve_run mix rate requests streams policy seed tiny level strict
         let dev = Souffle.default_config.Souffle.device in
         let sched_cache = Option.map Scache.load sched_cache_path in
         let cfg_at ?pos batch =
-          Souffle.config ~level ~search_mode ?sched_cache ~batch ?pos ~mega ()
+          Souffle.config ~level ?sched_cache ~batch ?pos ~mega ()
         in
         (* decode support and KV position buckets for generation serving *)
         let decode_thunk (e : Zoo.entry) =
@@ -754,8 +728,7 @@ let serve_cmd =
       $ policy_arg $ seed_arg $ tiny_arg $ level_arg $ strict_arg
       $ serve_json_arg $ serve_trace_arg $ chaos_arg $ deadline_ms_arg
       $ retries_arg $ backoff_us_arg $ queue_cap_arg $ drop_arg
-      $ batch_max_arg $ gen_arg $ sched_cache_arg $ search_mode_arg
-      $ mega_arg)
+      $ batch_max_arg $ gen_arg $ sched_cache_arg $ mega_arg)
 
 let dump_run model tiny output =
   protect Diag.Validate @@ fun () ->

@@ -28,12 +28,8 @@ let compose outer inner =
     off = Matrix.add_vec (Matrix.mul_vec outer.mat inner.off) outer.off;
   }
 
-let equal a b = Matrix.equal a.mat b.mat && a.off = b.off
-
 let pp ppf t =
   Fmt.pf ppf "%a + [%a]" Matrix.pp t.mat Fmt.(array ~sep:(any " ") int) t.off
-
-let to_string t = Fmt.str "%a" pp t
 
 (** Extract the affine map of a tensor access inside a TE body: the list of
     per-dimension index expressions must be affine in the output variables

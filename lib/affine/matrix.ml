@@ -30,8 +30,6 @@ let identity n =
   done;
   m
 
-let equal a b = a.rows = b.rows && a.cols = b.cols && a.data = b.data
-
 let mul a b =
   if a.cols <> b.rows then invalid_arg "Matrix.mul: dim mismatch";
   let m = create a.rows b.cols in
@@ -67,5 +65,3 @@ let pp ppf m =
       (Array.init m.cols (fun j -> get m i j))
   done;
   Fmt.pf ppf "@]"
-
-let to_string m = Fmt.str "%a" pp m

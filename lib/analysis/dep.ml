@@ -17,8 +17,6 @@ let classify (te : Te.t) : t =
   | Te.Compute _ -> One_relies_on_one
   | Te.Reduce { axes; _ } -> One_relies_on_many { axes }
 
-let is_one_to_one te = not (Te.has_reduction te)
-
 (** The paper's [M·v + c] maps for a one-relies-on-one TE, when every access
     is strictly affine (reshape-style div/mod accesses return [None] here but
     are still transformable by substitution). *)

@@ -13,8 +13,6 @@ type t =
 
 val classify : Te.t -> t
 
-val is_one_to_one : Te.t -> bool
-
 val affine_maps : Te.t -> (string * Amap.t) list option
 (** The paper's [M·v + c] maps per input access of a one-relies-on-one TE;
     [None] when an access uses div/mod (still transformable by

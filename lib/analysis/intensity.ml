@@ -26,14 +26,6 @@ let footprint_elems (p : Program.t) (te : Te.t) : int =
   in
   input_elems + Te.out_numel te
 
-let footprint_bytes (p : Program.t) (te : Te.t) : int =
-  let bytes name =
-    let info = Program.tensor_info_exn p name in
-    Shape.numel info.Program.shape * Dtype.bytes info.Program.dtype
-  in
-  List.fold_left (fun acc n -> acc + bytes n) 0 (Te.inputs te)
-  + (Te.out_numel te * Dtype.bytes te.Te.dtype)
-
 (* Arithmetic *instructions* per evaluation: a transcendental issues as one
    SFU instruction even though it costs several cycles, so undo the flop
    weighting the performance model applies. *)
@@ -57,5 +49,3 @@ let classify (p : Program.t) (te : Te.t) : kind =
      reductions: GEMM, Conv). *)
   if Te.has_reduction te && ratio p te >= threshold then Compute_intensive
   else Memory_intensive
-
-let is_compute_intensive p te = classify p te = Compute_intensive

@@ -16,8 +16,6 @@ val kind_to_string : kind -> string
 val footprint_elems : Program.t -> Te.t -> int
 (** Unique elements touched: every distinct input tensor plus the output. *)
 
-val footprint_bytes : Program.t -> Te.t -> int
-
 val arith_instrs : Te.t -> int
 (** Arithmetic instructions to materialize the output (a transcendental
     issues as one SFU instruction). *)
@@ -25,5 +23,3 @@ val arith_instrs : Te.t -> int
 val ratio : Program.t -> Te.t -> float
 
 val classify : Program.t -> Te.t -> kind
-
-val is_compute_intensive : Program.t -> Te.t -> bool

@@ -13,19 +13,20 @@
     error.  {!save} writes through a temp file and renames, so a crashed
     writer cannot leave a torn cache behind.
 
-    Determinism contract: every key records the {!Ansor.mode} that
-    produced its schedule
-    ([mode=construct] / [mode=exhaustive]), so a warm cache reproduces the
-    cold serial run of the same mode bit for bit and the two modes never
-    serve each other's entries. *)
+    Determinism contract: a warm cache reproduces the cold run that filled
+    it bit for bit.  Keys do not record which search produced an entry, so
+    a cache filled by {!Ansor.schedule_program}'s enumeration makes a later
+    compile use those schedules — the compile bench seeds its quality
+    oracle that way. *)
 
 let format_marker = "souffle-scache"
 
 (** Bump when the serialized [Sched.t] shape or the key derivation changes:
     caches written by older builds are then ignored wholesale instead of
-    misinterpreted.  Version 2: keys carry the producing scheduler mode
-    ([|mode=...]). *)
-let format_version = 2
+    misinterpreted.  Version 3: keys no longer carry a scheduler-mode tag,
+    so version-2 files (whose keys all do) are dropped rather than left to
+    miss on every lookup. *)
+let format_version = 3
 
 type t = {
   entries : (string, Sched.t) Hashtbl.t;

@@ -36,14 +36,6 @@ let level_of_rank = function
 type config = {
   device : Device.t;
   level : level;
-  ansor : Ansor.config;
-  search_mode : Ansor.mode;
-      (** how schedules are produced: {!Ansor.Construct} (default) builds
-          one schedule per TE by greedy construction under the analytic
-          cost model; {!Ansor.Exhaustive} enumerates the candidate space
-          (the quality oracle the compile bench compares against).  A
-          failing scheduler degrades the program a level, like any other
-          front-end pass *)
   sched_cache : Scache.t option;
       (** persistent cross-run schedule cache; warm entries skip the Ansor
           candidate search entirely *)
@@ -62,22 +54,11 @@ type config = {
           and simulated, so the report carries both *)
 }
 
-let default_config =
-  {
-    device = Device.a100;
-    level = V4;
-    ansor = Ansor.default_config;
-    search_mode = Ansor.Construct;
-    sched_cache = None;
-    batch = 1;
-    pos = 0;
-    mega = false;
-  }
+let config ?(device = Device.a100) ?(level = V4) ?sched_cache ?(batch = 1)
+    ?(pos = 0) ?(mega = false) () =
+  { device; level; sched_cache; batch; pos; mega }
 
-let config ?(device = Device.a100) ?(level = V4)
-    ?(ansor = Ansor.default_config) ?(search_mode = Ansor.Construct)
-    ?sched_cache ?(batch = 1) ?(pos = 0) ?(mega = false) () =
-  { device; level; ansor; search_mode; sched_cache; batch; pos; mega }
+let default_config = config ()
 
 (** One step of the graceful-degradation ladder: [d_subject] (the whole
     program, or one subprogram's head TE) was retried at [d_to] after
@@ -303,15 +284,7 @@ let compile_result ?(cfg = default_config) ?(strict = false) (p : Program.t)
   in
   (* One scheduler call per attempt; a failure degrades the program a
      level like any other front-end pass. *)
-  let schedule p2 =
-    let scheduler =
-      match cfg.search_mode with
-      | Ansor.Construct -> Construct.scheduler
-      | Ansor.Exhaustive -> Ansor.exhaustive_scheduler
-    in
-    Ansor.schedule_program_result ~scheduler ~config:cfg.ansor ~store
-      cfg.device p2
-  in
+  let schedule p2 = Construct.schedule_program_result ~store cfg.device p2 in
   (* ---- front end: whole-program passes at rank [r] ---- *)
   let front_end r =
     let* p1, hstats =

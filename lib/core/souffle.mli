@@ -24,14 +24,6 @@ val level_of_rank : int -> level
 type config = {
   device : Device.t;
   level : level;
-  ansor : Ansor.config;
-  search_mode : Ansor.mode;
-      (** how schedules are produced: {!Ansor.Construct} (default) builds
-          one schedule per TE by greedy construction under the analytic
-          cost model; {!Ansor.Exhaustive} enumerates the candidate space
-          (the quality oracle the compile bench compares against).  A
-          failing scheduler degrades the program a level, like any other
-          front-end pass *)
   sched_cache : Scache.t option;
       (** persistent cross-run schedule cache; warm entries skip the Ansor
           candidate search entirely *)
@@ -50,14 +42,12 @@ type config = {
 }
 
 val default_config : config
-(** A100, level V4, default scheduler efficiency, constructive scheduling,
-    no persistent cache, batch 1, position 0, mega off. *)
+(** [config ()]: A100, level V4, no persistent cache, batch 1, position 0,
+    mega off. *)
 
 val config :
   ?device:Device.t ->
   ?level:level ->
-  ?ansor:Ansor.config ->
-  ?search_mode:Ansor.mode ->
   ?sched_cache:Scache.t ->
   ?batch:int ->
   ?pos:int ->

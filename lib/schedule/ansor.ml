@@ -21,7 +21,12 @@
 
     The remaining keys are searched serially, one after another: at ~50
     cost evaluations per constructed key there is nothing for a domain
-    fan-out to amortise (see [docs/COMPILE_PERF.md]). *)
+    fan-out to amortise (see [docs/COMPILE_PERF.md]).
+
+    The Souffle pipeline schedules with [Construct], which runs
+    {!schedule_program} with its own per-TE search; this module's
+    enumeration serves the baselines and, through a pre-seeded store, the
+    compile bench's quality oracle. *)
 
 type config = {
   eff_cap : float;
@@ -30,21 +35,6 @@ type config = {
 }
 
 let default_config = { eff_cap = 0.60 }
-
-(** How a schedule was produced.  {!Exhaustive} is this module's candidate
-    enumeration; {!Construct} is the greedy construction-based scheduler
-    ([Construct] in this library), which builds one schedule directly under
-    the same cost model.  The mode is part of {!structural_key}, so cached
-    and memoized schedules always record which procedure produced them and
-    the two modes never alias each other's entries. *)
-type mode = Construct | Exhaustive
-
-let mode_tag = function Construct -> "construct" | Exhaustive -> "exhaustive"
-
-let mode_of_string = function
-  | "construct" -> Some Construct
-  | "exhaustive" -> Some Exhaustive
-  | _ -> None
 
 (* Achieved efficiency: large tiles amortize prologue/epilogue and fill the
    pipelines; small tiles do not. *)
@@ -291,14 +281,14 @@ let schedule_te ?(config = default_config) (dev : Device.t)
 (* ---- structural keys and schedule stores ---------------------------- *)
 
 (** Canonical structural key of a TE for schedule reuse: device, the
-    scheduling mode that produced the schedule, the scheduling-relevant
-    part of the search configuration ([eff_cap]), and the TE's structure
-    (output shape, reduction axes, provenance tag, arithmetic ops, access
-    count, output and input dtypes).  Two TEs with equal keys receive
-    bit-identical schedules, which is what makes both the per-program memo
-    table and the persistent cross-run cache sound. *)
-let structural_key ?(mode = Exhaustive) ?(config = default_config)
-    (dev : Device.t) (p : Program.t) (te : Te.t) : string =
+    scheduling-relevant part of the search configuration ([eff_cap]), and
+    the TE's structure (output shape, reduction axes, provenance tag,
+    arithmetic ops, access count, output and input dtypes).  Two TEs with
+    equal keys receive bit-identical schedules from one search, which is
+    what makes both the per-program memo table and the persistent
+    cross-run cache sound. *)
+let structural_key ?(config = default_config) (dev : Device.t)
+    (p : Program.t) (te : Te.t) : string =
   let in_dtypes =
     Te.inputs te
     |> List.map (fun name ->
@@ -307,8 +297,8 @@ let structural_key ?(mode = Exhaustive) ?(config = default_config)
            | None -> "?")
     |> String.concat ","
   in
-  Fmt.str "%s|mode=%s|eff=%.4f|out=%s|red=%s|tag=%s|ops=%d|acc=%d|dt=%s<-%s"
-    dev.Device.name (mode_tag mode) config.eff_cap
+  Fmt.str "%s|eff=%.4f|out=%s|red=%s|tag=%s|ops=%d|acc=%d|dt=%s<-%s"
+    dev.Device.name config.eff_cap
     (Shape.to_string te.Te.out_shape)
     (String.concat "x"
        (List.map string_of_int (Array.to_list (Te.reduce_axes te))))
@@ -328,41 +318,24 @@ type store = {
 
 (* ---- whole-program scheduling --------------------------------------- *)
 
-(** The per-TE procedure {!schedule_program} runs for every unresolved key,
-    together with the {!mode} tag recorded in those keys.  The default is
-    this module's exhaustive search; [Construct.scheduler] plugs the
-    construction-based one in without this module depending on it. *)
-type scheduler = {
-  s_mode : mode;
-  s_schedule : config:config -> Device.t -> Program.t -> Te.t -> Sched.t;
-}
-
-let exhaustive_scheduler : scheduler =
-  {
-    s_mode = Exhaustive;
-    s_schedule = (fun ~config dev p te -> schedule_te ~config dev p te);
-  }
-
 (** Schedule every TE of a program.  Identical structures are searched once
     (memoized on {!structural_key}, since models repeat identical layers
     many times); keys the [store] already knows skip the search entirely;
-    the remaining keys are searched in program order.  The resulting table
-    is bit-identical regardless of store warmth built from searches of the
-    same [scheduler]. *)
-let schedule_program ?(scheduler = exhaustive_scheduler)
-    ?(config = default_config) ?store (dev : Device.t)
-    (p : Program.t) : (string, Sched.t) Hashtbl.t =
+    the remaining keys are searched in program order with [search]
+    (default {!schedule_te}; [Construct] passes its own).  The store does
+    not record which search filled an entry: a store filled by one search
+    makes a later run with another return the first one's schedules. *)
+let schedule_program ?(search = schedule_te) ?(config = default_config)
+    ?store (dev : Device.t) (p : Program.t) : (string, Sched.t) Hashtbl.t =
   Obs.span ~meta:[ ("tes", string_of_int (List.length p.Program.tes)) ]
     "ansor"
   @@ fun () ->
-  let mode = scheduler.s_mode in
-  let schedule_one te = scheduler.s_schedule ~config dev p te in
   (* the unique structural keys, in first-occurrence program order *)
   let key_of = Hashtbl.create 64 in
   let uniq = ref [] in
   List.iter
     (fun (te : Te.t) ->
-      let key = structural_key ~mode ~config dev p te in
+      let key = structural_key ~config dev p te in
       if not (Hashtbl.mem key_of key) then begin
         Hashtbl.add key_of key te;
         uniq := (key, te) :: !uniq
@@ -388,19 +361,18 @@ let schedule_program ?(scheduler = exhaustive_scheduler)
     (fun (key, te) ->
       let s =
         Obs.span ~meta:[ ("te", te.Te.name) ] "ansor-search" (fun () ->
-            schedule_one te)
+            search ~config dev p te)
       in
       Hashtbl.replace resolved key s;
       Option.iter (fun st -> st.add key s) store)
     missing;
   Obs.annotate "store_hits" (string_of_int store_hits);
   Obs.annotate "searched" (string_of_int searched);
-  Obs.annotate "mode" (mode_tag mode);
   (* merge into the per-TE table in program order *)
   let table = Hashtbl.create 64 in
   List.iter
     (fun (te : Te.t) ->
-      let key = structural_key ~mode ~config dev p te in
+      let key = structural_key ~config dev p te in
       match Hashtbl.find_opt resolved key with
       | Some s -> Hashtbl.replace table te.Te.name { s with Sched.te_name = te.Te.name }
       | None -> assert false)
@@ -409,8 +381,8 @@ let schedule_program ?(scheduler = exhaustive_scheduler)
 
 (** {!schedule_program} as a total function: fault-injection aware,
     exceptions converted to a typed diagnostic. *)
-let schedule_program_result ?scheduler ?config ?store (dev : Device.t)
+let schedule_program_result ?search ?config ?store (dev : Device.t)
     (p : Program.t) : ((string, Sched.t) Hashtbl.t, Diag.t) result =
   Diag.guard Diag.Schedule (fun () ->
       Faultinject.trip Diag.Schedule;
-      schedule_program ?scheduler ?config ?store dev p)
+      schedule_program ?search ?config ?store dev p)

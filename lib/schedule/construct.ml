@@ -20,7 +20,12 @@
     inside one coordinate scan resolve to the earliest option in the list,
     and the pass/coordinate order is fixed, so there is nothing
     timing-dependent to diverge — the property the schedule cache rests
-    on. *)
+    on.
+
+    This is the only scheduler the Souffle pipeline runs.  The enumerative
+    quality oracle compiles against a store pre-seeded with enumerated
+    schedules, so this search never runs there (see
+    {!Ansor.schedule_program}). *)
 
 (* Descent passes over the coordinate list.  Two passes suffice for this
    cost model: the second pass re-checks every coordinate after the first
@@ -179,14 +184,6 @@ let schedule_te ?(config = Ansor.default_config) (dev : Device.t)
     end
   end
 
-(** This scheduler as an {!Ansor.scheduler}, pluggable into
-    {!Ansor.schedule_program} — keys are tagged [mode=construct]. *)
-let scheduler : Ansor.scheduler =
-  {
-    Ansor.s_mode = Ansor.Construct;
-    s_schedule = (fun ~config dev p te -> schedule_te ~config dev p te);
-  }
-
 (** {!Ansor.schedule_program} driven by construction instead of
     enumeration: same memoization on structural keys, same store protocol,
     same serial per-key loop.  Cost per TE is
@@ -194,10 +191,10 @@ let scheduler : Ansor.scheduler =
     evaluations, still an order of magnitude under enumeration. *)
 let schedule_program ?config ?store (dev : Device.t) (p : Program.t) :
     (string, Sched.t) Hashtbl.t =
-  Ansor.schedule_program ~scheduler ?config ?store dev p
+  Ansor.schedule_program ~search:schedule_te ?config ?store dev p
 
 (** {!schedule_program} as a total function: fault-injection aware,
     exceptions converted to a typed diagnostic. *)
 let schedule_program_result ?config ?store (dev : Device.t) (p : Program.t) :
     ((string, Sched.t) Hashtbl.t, Diag.t) result =
-  Ansor.schedule_program_result ~scheduler ?config ?store dev p
+  Ansor.schedule_program_result ~search:schedule_te ?config ?store dev p

@@ -11,8 +11,6 @@ let ic = Index.const
 (** Identity access of an [n]-d tensor at the output point. *)
 let at ?(rank = 2) name = Read (name, List.init rank ov)
 
-let read name idxs = Read (name, idxs)
-
 (** Dense matmul [C[i,j] = sum_k A[i,k] * B[k,j]] with C : (m, n). *)
 let matmul ?(tag = "matmul") ?(dtype = Dtype.F32) ~name ~m ~n ~k a b =
   Te.reduce ~tag ~name ~shape:[| m; n |] ~dtype ~op:Te.Sum

@@ -137,8 +137,6 @@ and map_index_cond f = function
     the workhorse of vertical transformation (§6.2, Eq. 2). *)
 let subst_out (m : int -> Index.t) e = map_index (Index.subst_out m) e
 
-let shift_rv delta e = map_index (Index.shift_rv delta) e
-
 (** Rewrite tensor reads; [f name idxs] returns a replacement expression. *)
 let rec map_reads f = function
   | Const _ | IdxVal _ as e -> e

@@ -22,8 +22,6 @@ let to_string = function
   | I32 -> "i32"
   | Bool -> "bool"
 
-let equal (a : t) (b : t) = a = b
-
 let pp ppf t = Fmt.string ppf (to_string t)
 
 (* FP16 has a 10-bit mantissa; rounding through it keeps the oracle honest

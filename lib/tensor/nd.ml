@@ -33,7 +33,6 @@ let get t idx = t.data.(Shape.ravel t.shape idx)
 let set t idx v = t.data.(Shape.ravel t.shape idx) <- v
 
 let get_flat t i = t.data.(i)
-let set_flat t i v = t.data.(i) <- v
 
 let copy t = { t with data = Array.copy t.data }
 
@@ -44,8 +43,6 @@ let map2 f a b =
   { a with data = Array.init (numel a) (fun i -> f a.data.(i) b.data.(i)) }
 
 let fold f init t = Array.fold_left f init t.data
-
-let fill t v = Array.fill t.data 0 (Array.length t.data) v
 
 let random ?(dtype = Dtype.F32) rng shape =
   init ~dtype shape (fun _ -> Rng.uniform rng ~lo:(-1.0) ~hi:1.0)

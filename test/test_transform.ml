@@ -197,6 +197,20 @@ let test_horizontal_then_vertical () =
   Alcotest.(check bool) "valid" true (Result.is_ok (Program.validate p2));
   check_equiv "horizontal+vertical" p p2
 
+let test_vertical_fixpoint_on_zoo () =
+  (* [Vertical.apply] promises a fixpoint (it gives up silently after 64
+     rounds): a second application finds nothing left to inline *)
+  List.iter
+    (fun (e : Zoo.entry) ->
+      let p1, _ = Horizontal.apply (Lower.run (e.Zoo.tiny ())) in
+      let p2, _ = Vertical.apply p1 in
+      let _, again = Vertical.apply p2 in
+      Alcotest.(check (pair int int))
+        (e.Zoo.name ^ ": second vertical apply is a no-op")
+        (0, 0)
+        (again.Vertical.chains_fused, again.Vertical.movement_folded))
+    Zoo.all
+
 (* --- qcheck: random elementwise DAGs survive both transforms --------- *)
 
 let random_program (seed : int) : Program.t =
@@ -273,5 +287,7 @@ let suite =
       test_horizontal_outputs_not_merged;
     Alcotest.test_case "horizontal then vertical" `Quick
       test_horizontal_then_vertical;
+    Alcotest.test_case "vertical fixpoint on tiny zoo" `Quick
+      test_vertical_fixpoint_on_zoo;
     QCheck_alcotest.to_alcotest qcheck_transforms_preserve_semantics;
   ]

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Doc honesty check for `dune build @doc-check`:
 #  - every source-file path a documentation file cites (backtick-quoted
-#    `lib/...ml`, `bin/...`, etc.) must still exist, and
+#    `lib/...ml`, `bin/...`, etc.) must still exist — a cited
+#    `bench/X.exe` or `examples/X.exe` needs its `X.ml` — and
 #  - every long CLI flag (`--foo-bar`) a documentation file mentions must
 #    appear in the help corpus (the concatenated `--help=plain` output of
 #    every souffle subcommand, plus the flags the bench driver parses by
@@ -32,7 +33,12 @@ for doc in "$@"; do
   cited=$(grep -oE '`(lib|bin|bench|test|tools|examples|docs)/[A-Za-z0-9_./-]+\.[A-Za-z]+`' "$doc" \
     | tr -d '`' | sort -u)
   for path in $cited; do
-    if [ ! -f "$root/$path" ]; then
+    # a cited executable (`bench/main.exe`) stands for its main module
+    case $path in
+      bench/*.exe | examples/*.exe) src=${path%.exe}.ml ;;
+      *) src=$path ;;
+    esac
+    if [ ! -f "$root/$src" ]; then
       echo "doc-check: $doc cites $path, which does not exist" >&2
       status=1
     fi
