@@ -1,12 +1,12 @@
-(** The combined two-level global analysis of §5: per-TE element-wise
-    dependence class and compute/memory intensity, plus program-wide reuse
-    opportunities.  This is the "Analysis Result" box of Fig. 2 step 2. *)
+(** The combined two-level global analysis of §5: per-TE compute/memory
+    intensity, plus program-wide reuse opportunities.  This is the
+    "Analysis Result" box of Fig. 2 step 2.  The element-wise dependence
+    class of a TE is {!Te.has_reduction}. *)
 
 module SMap = Program.SMap
 
 type te_info = {
   te : Te.t;
-  dep : Dep.t;
   kind : Intensity.kind;
   ratio : float;
 }
@@ -24,7 +24,6 @@ let run (p : Program.t) : t =
         SMap.add te.Te.name
           {
             te;
-            dep = Dep.classify te;
             kind = Intensity.classify p te;
             ratio = Intensity.ratio p te;
           }
@@ -39,11 +38,6 @@ let info t name =
   | None -> invalid_arg ("Analysis.info: unknown TE " ^ name)
 
 let is_compute_intensive t name = (info t name).kind = Intensity.Compute_intensive
-
-let is_one_to_one t name =
-  match (info t name).dep with
-  | Dep.One_relies_on_one -> true
-  | Dep.One_relies_on_many _ -> false
 
 (** Names of TEs by class, in program order. *)
 let compute_intensive t =
@@ -64,9 +58,8 @@ let pp ppf t =
     (fun (te : Te.t) ->
       let i = info t te.Te.name in
       Fmt.pf ppf "%s: {%s, %s, ratio=%.2f}@," te.Te.name
-        (match i.dep with
-        | Dep.One_relies_on_one -> "one-relies-on-one"
-        | Dep.One_relies_on_many _ -> "one-relies-on-many")
+        (if Te.has_reduction te then "one-relies-on-many"
+         else "one-relies-on-one")
         (Intensity.kind_to_string i.kind) i.ratio)
     t.program.Program.tes;
   Reuse.pp ppf t.reuse;

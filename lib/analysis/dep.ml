@@ -1,26 +1,5 @@
-(** Element-wise dependence classification (§5.2).
-
-    A TE without reduction axes is *one-relies-on-one*: each output element
-    depends on exactly one element per input access, through a quasi-affine
-    index map.  A TE with reduction axes is *one-relies-on-many*: each output
-    element depends on the whole reduction region of its inputs. *)
-
-type t =
-  | One_relies_on_one
-      (** no reduction axis; vertical transformation applies (§6.2) *)
-  | One_relies_on_many of { axes : int array }
-      (** reduction over the given extents; fused via two-phase
-          block-local reduction + atomics (§6.3) *)
-
-let classify (te : Te.t) : t =
-  match te.Te.body with
-  | Te.Compute _ -> One_relies_on_one
-  | Te.Reduce { axes; _ } -> One_relies_on_many { axes }
-
-(** The paper's [M·v + c] maps for a one-relies-on-one TE, when every access
-    is strictly affine (reshape-style div/mod accesses return [None] here but
-    are still transformable by substitution). *)
-let affine_maps (te : Te.t) : (string * Amap.t) list option = Amap.of_te te
+(** Element-wise dependence relations (§5.2).  Whether a TE is
+    one-relies-on-one or one-relies-on-many is {!Te.has_reduction}. *)
 
 (** Render the polyhedral-notation relation of §5.2 for documentation and
     debugging, e.g.

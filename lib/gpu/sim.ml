@@ -543,8 +543,7 @@ module Multi = struct
     s.st_queue <- [];
     s.st_phase <- Drained;
     s.st_outcome <- Faulted;
-    s.st_finish_us <- Some t.mnow;
-    Faultinject.Runtime.record_trip ~stream:s.st_id
+    s.st_finish_us <- Some t.mnow
 
   (* the stream's deadline was reached: cross into the next phase *)
   let cross t (s : stream) =
@@ -603,7 +602,6 @@ module Multi = struct
     in
     t.mnext <- t.mnext + 1;
     t.mstreams <- s :: t.mstreams;
-    if faults <> [] then Faultinject.Runtime.arm ~stream:s.st_id faults;
     next_kernel t s;
     s
 

@@ -427,7 +427,6 @@ let run (dev : Device.t) (cfg : cfg) ~(artifacts : artifact list)
     cfg.deadline_us <> None
     || List.exists (fun (r : Workload.request) -> r.Workload.rq_slo_us <> None) reqs
   in
-  if cfg.chaos <> None then Faultinject.Runtime.reset ();
   let upcoming =
     ref
       (List.stable_sort

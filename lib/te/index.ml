@@ -104,8 +104,7 @@ let rec range ~ov_ext ~rv_ext = function
 
 (* Linear-normal form: coefficient map over variables plus a constant, with
    irreducible div/mod atoms treated as opaque terms.  Canonicalizing through
-   this form gives an effective simplifier and (when no atoms remain) the
-   affine matrix extraction of §5.2. *)
+   this form gives an effective simplifier. *)
 module Lin = struct
   type atom = ADiv of t * int | AMod of t * int
 
@@ -253,24 +252,6 @@ and of_nf (nf : Lin.nf) : t =
 (** Canonicalize; extents drive range-based div/mod elimination, e.g. a
     reshape composed with its inverse simplifies to the identity. *)
 let simplify ~ov_ext ~rv_ext e = of_nf (to_nf ~ov_ext ~rv_ext e)
-
-(** Affine extraction: [Some (out_coeffs, red_coeffs, const)] iff the
-    expression is affine after simplification (no residual div/mod), giving
-    the row of the paper's [M·v + c] map. *)
-let to_affine ~ov_ext ~rv_ext ~n_out ~n_red e =
-  let nf = to_nf ~ov_ext ~rv_ext e in
-  if nf.Lin.atoms <> [] then None
-  else begin
-    let oc = Array.make n_out 0 and rc = Array.make n_red 0 in
-    let ok = ref true in
-    List.iter
-      (fun (k, c) -> if k < n_out then oc.(k) <- c else ok := false)
-      nf.Lin.out;
-    List.iter
-      (fun (k, c) -> if k < n_red then rc.(k) <- c else ok := false)
-      nf.Lin.red;
-    if !ok then Some (oc, rc, nf.Lin.const) else None
-  end
 
 let equal (a : t) (b : t) = a = b
 

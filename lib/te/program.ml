@@ -1,6 +1,7 @@
 (** A TE program: model inputs (including weights), a topologically ordered
     list of TEs, and the names of the tensors a user observes.  This is the
-    unit the global analysis of §5 operates on. *)
+    unit the global analysis of §5 operates on.  The library is
+    single-domain: the program index below is plain, unsynchronized state. *)
 
 module SMap = Map.Make (String)
 module SSet = Set.Make (String)
@@ -25,21 +26,16 @@ let te_names p = List.map (fun (te : Te.t) -> te.Te.name) p.tes
    [{ p with tes = ... }], so a name index cannot live inside the record
    without going stale.  Instead a small side memo keyed by the *physical
    identity* of the program value caches one index per program generation;
-   entries die with their program (weak keys).  Access is mutex-guarded so
-   library callers compiling on several domains can consult the index
-   concurrently — the cached tables themselves are never mutated after
-   construction, making unsynchronized concurrent reads safe. *)
+   entries die with their program (weak keys). *)
 
 type index = {
   te_by_name : (string, Te.t) Hashtbl.t;
   info_by_name : (string, tensor_info) Hashtbl.t;
   mutable consumers_memo : Te.t list SMap.t option;
-      (** lazily-built {!consumers} map; guarded by [index_lock] so the
-          whole index stays domain-safe *)
+      (** lazily-built {!consumers} map *)
 }
 
 let index_memo : (Obj.t Weak.t * index) list ref = ref []
-let index_lock = Mutex.create ()
 
 let build_index (p : t) : index =
   let n = List.length p.tes in
@@ -64,7 +60,6 @@ let build_index (p : t) : index =
 
 let index_of (p : t) : index =
   let key = Obj.repr p in
-  Mutex.protect index_lock @@ fun () ->
   let hit =
     List.find_opt
       (fun (w, _) -> match Weak.get w 0 with Some o -> o == key | None -> false)
@@ -121,7 +116,6 @@ let build_consumers (p : t) : Te.t list SMap.t =
     kernel-heavy models. *)
 let consumers p : Te.t list SMap.t =
   let idx = index_of p in
-  Mutex.protect index_lock @@ fun () ->
   match idx.consumers_memo with
   | Some c -> c
   | None ->

@@ -23,15 +23,13 @@ let fig2_program () =
 
 let test_fig2_dep_classes () =
   let p = fig2_program () in
-  let an = Analysis.run p in
+  let reduces n = Te.has_reduction (Program.find_te_exn p n) in
   (* TE0, TE2, TE4: one-relies-on-many; TE1, TE3: one-relies-on-one *)
   List.iter
-    (fun n ->
-      Alcotest.(check bool) (n ^ " many") false (Analysis.is_one_to_one an n))
+    (fun n -> Alcotest.(check bool) (n ^ " many") true (reduces n))
     [ "O0"; "O2"; "O4" ];
   List.iter
-    (fun n ->
-      Alcotest.(check bool) (n ^ " one") true (Analysis.is_one_to_one an n))
+    (fun n -> Alcotest.(check bool) (n ^ " one") false (reduces n))
     [ "O1"; "O3" ]
 
 let test_fig2_intensity () =
@@ -103,22 +101,6 @@ let test_elementwise_never_compute_intensive () =
   Alcotest.(check bool) "memory" true
     (Intensity.classify p te = Intensity.Memory_intensive)
 
-let test_affine_maps_of_one_to_one () =
-  (* Dep.affine_maps extracts M·v + c for a transpose *)
-  let te =
-    Builder.permute ~name:"t" ~in_shape:[| 4; 6 |] ~perm:[| 1; 0 |] "x"
-  in
-  match Dep.affine_maps te with
-  | Some [ ("x", m) ] ->
-      (* out (6,4); access x[i1, i0]: matrix [[0 1][1 0]] *)
-      Alcotest.(check (array int)) "apply (2,3) -> (3,2)" [| 3; 2 |]
-        (Amap.apply m [| 2; 3 |])
-  | _ -> Alcotest.fail "expected one map"
-
-let test_affine_maps_none_for_reduction () =
-  let te = Builder.matmul ~name:"c" ~m:4 ~n:4 ~k:4 "a" "b" in
-  Alcotest.(check bool) "none" true (Dep.affine_maps te = None)
-
 let test_relation_string () =
   let te = Builder.matmul ~name:"O0" ~m:4 ~n:4 ~k:8 "I0" "W0" in
   let s = Dep.relation_to_string te in
@@ -126,55 +108,6 @@ let test_relation_string () =
     (Astring_contains.contains s "0 <= r0 < 8");
   Alcotest.(check bool) "mentions output" true
     (Astring_contains.contains s "O0[i0,i1]")
-
-let test_amap_compose_eq2 () =
-  (* Fig. 4: permute . strided_slice . identity composes to [[0 1][2 0]] *)
-  let relu = Amap.identity 2 in
-  let slice =
-    Amap.make (Matrix.of_rows [ [ 2; 0 ]; [ 0; 1 ] ]) [| 0; 0 |]
-  in
-  let permute =
-    Amap.make (Matrix.of_rows [ [ 0; 1 ]; [ 1; 0 ] ]) [| 0; 0 |]
-  in
-  (* D[i,j] = C[j,i]; C[i,j] = B[2i, j]; B = relu(A) elementwise.
-     Composed access of A from D's iteration space: A[2j, i].
-     (The paper's Fig. 4 prints the factors in the reverse order and states
-     A[j, 2i]; evaluating the chain shows D[3,1] = C[1,3] = B[2,3] =
-     relu(A[2,3]), i.e. A[2j, i] — a typo in the figure.) *)
-  let composed = Amap.compose relu (Amap.compose slice permute) in
-  Alcotest.(check (array int)) "D(1,2) reads A(4, 1)" [| 4; 1 |]
-    (Amap.apply composed [| 1; 2 |]);
-  Alcotest.(check (array int)) "D(3,1) reads A(2, 3)" [| 2; 3 |]
-    (Amap.apply composed [| 3; 1 |])
-
-let test_amap_compose_offsets () =
-  (* offsets combine per Eq. 2: f2(f1(v)) = M2(M1 v + c1) + c2 *)
-  let f1 = Amap.make (Matrix.of_rows [ [ 2 ] ]) [| 3 |] in
-  let f2 = Amap.make (Matrix.of_rows [ [ 5 ] ]) [| 7 |] in
-  let f21 = Amap.compose f2 f1 in
-  (* f2(f1(x)) = 5(2x + 3) + 7 = 10x + 22 *)
-  Alcotest.(check (array int)) "at 1" [| 32 |] (Amap.apply f21 [| 1 |]);
-  Alcotest.(check (array int)) "at 4" [| 62 |] (Amap.apply f21 [| 4 |])
-
-let qcheck_amap_compose_pointwise =
-  QCheck.Test.make ~name:"amap composition = pointwise composition" ~count:200
-    QCheck.(
-      pair
-        (pair (array_of_size (QCheck.Gen.return 4) (int_range (-3) 3))
-           (array_of_size (QCheck.Gen.return 2) (int_range (-5) 5)))
-        (pair (array_of_size (QCheck.Gen.return 4) (int_range (-3) 3))
-           (array_of_size (QCheck.Gen.return 2) (int_range (-5) 5))))
-    (fun ((m1, c1), (m2, c2)) ->
-      let mk m c =
-        Amap.make
-          (Matrix.of_rows
-             [ [ m.(0); m.(1) ]; [ m.(2); m.(3) ] ])
-          c
-      in
-      let f1 = mk m1 c1 and f2 = mk m2 c2 in
-      let composed = Amap.compose f2 f1 in
-      let v = [| 2; -1 |] in
-      Amap.apply composed v = Amap.apply f2 (Amap.apply f1 v))
 
 let suite =
   [
@@ -186,11 +119,5 @@ let suite =
     Alcotest.test_case "intensity ratio values" `Quick test_intensity_ratio_values;
     Alcotest.test_case "elementwise stays memory" `Quick
       test_elementwise_never_compute_intensive;
-    Alcotest.test_case "affine maps one-to-one" `Quick test_affine_maps_of_one_to_one;
-    Alcotest.test_case "affine maps none for reduction" `Quick
-      test_affine_maps_none_for_reduction;
     Alcotest.test_case "relation string" `Quick test_relation_string;
-    Alcotest.test_case "amap compose fig4" `Quick test_amap_compose_eq2;
-    Alcotest.test_case "amap compose offsets" `Quick test_amap_compose_offsets;
-    QCheck_alcotest.to_alcotest qcheck_amap_compose_pointwise;
   ]

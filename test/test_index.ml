@@ -1,5 +1,5 @@
 (* Tests for quasi-affine index expressions: evaluation, simplification,
-   range analysis, affine extraction and substitution. *)
+   range analysis and substitution. *)
 
 open Index
 
@@ -100,23 +100,6 @@ let test_range () =
   Alcotest.(check (pair int int)) "range with neg" (-7, 0)
     (range ~ov_ext ~rv_ext (Mul (Ov 0, -1)))
 
-let test_affine_extract () =
-  let ov_ext = [| 8; 8 |] and rv_ext = [| 4 |] in
-  match
-    to_affine ~ov_ext ~rv_ext ~n_out:2 ~n_red:1
-      (Add (Add (Mul (Ov 0, 2), Mul (Rv 0, 3)), Const 5))
-  with
-  | Some (oc, rc, c) ->
-      Alcotest.(check (array int)) "out coeffs" [| 2; 0 |] oc;
-      Alcotest.(check (array int)) "red coeffs" [| 3 |] rc;
-      Alcotest.(check int) "const" 5 c
-  | None -> Alcotest.fail "should be affine"
-
-let test_affine_extract_fails_on_mod () =
-  let ov_ext = [| 8; 8 |] and rv_ext = [||] in
-  Alcotest.(check bool) "mod not affine" true
-    (to_affine ~ov_ext ~rv_ext ~n_out:2 ~n_red:0 (Mod (Ov 0, 3)) = None)
-
 let test_subst_out () =
   (* substituting i0 := 2*j0 into i0 + 1 gives 2*j0 + 1 *)
   let e = Add (Ov 0, Const 1) in
@@ -175,27 +158,6 @@ let qcheck_range_sound =
               if v < lo || v > hi then ok := false));
       !ok)
 
-let qcheck_affine_matches_eval =
-  QCheck.Test.make ~name:"affine extraction agrees with eval" ~count:500
-    arb_idx
-    (fun e ->
-      let ov_ext = [| 8; 8 |] and rv_ext = [| 4 |] in
-      match to_affine ~ov_ext ~rv_ext ~n_out:2 ~n_red:1 e with
-      | None -> QCheck.assume_fail ()
-      | Some (oc, rc, c) ->
-          let ok = ref true in
-          Shape.iter ov_ext (fun ov ->
-              let ov = Array.copy ov in
-              Shape.iter rv_ext (fun rv ->
-                  let lin =
-                    c
-                    + (oc.(0) * ov.(0))
-                    + (oc.(1) * ov.(1))
-                    + (rc.(0) * rv.(0))
-                  in
-                  if lin <> eval ~ov ~rv e then ok := false));
-          !ok)
-
 let suite =
   [
     Alcotest.test_case "eval" `Quick test_eval;
@@ -209,12 +171,9 @@ let suite =
     Alcotest.test_case "reshape roundtrip" `Quick test_reshape_roundtrip_simplifies;
     Alcotest.test_case "simplify semantics" `Quick test_simplify_preserves_semantics;
     Alcotest.test_case "range" `Quick test_range;
-    Alcotest.test_case "affine extract" `Quick test_affine_extract;
-    Alcotest.test_case "affine fails on mod" `Quick test_affine_extract_fails_on_mod;
     Alcotest.test_case "subst out" `Quick test_subst_out;
     Alcotest.test_case "shift rv" `Quick test_shift_rv;
     Alcotest.test_case "var bounds" `Quick test_var_bounds;
     QCheck_alcotest.to_alcotest qcheck_simplify_sound;
     QCheck_alcotest.to_alcotest qcheck_range_sound;
-    QCheck_alcotest.to_alcotest qcheck_affine_matches_eval;
   ]

@@ -148,6 +148,40 @@ let test_program_deps () =
   Alcotest.(check int) "a has 2 consumers" 2
     (List.length (Program.SMap.find "a" cons))
 
+(* The name index is memoized per program value; a program rebuilt with
+   [{ p with tes }] must get its own index, and the old value keeps its own. *)
+let test_program_index_generations () =
+  let i = ("x", { Program.shape = [| 4 |]; dtype = Dtype.F32 }) in
+  let a = Builder.unary ~name:"a" ~shape:[| 4 |] Relu "x" in
+  let b = Builder.unary ~name:"b" ~shape:[| 4 |] Exp "a" in
+  let c = Builder.unary ~name:"c" ~shape:[| 4 |] Neg "a" in
+  let p = Program.make ~inputs:[ i ] ~tes:[ a; b; c ] ~outputs:[ "b"; "c" ] in
+  let shape p n = (Program.tensor_info_exn p n).Program.shape in
+  let consumer_names p n =
+    match Program.SMap.find_opt n (Program.consumers p) with
+    | Some tes -> List.map (fun (te : Te.t) -> te.Te.name) tes
+    | None -> []
+  in
+  let shapes = Alcotest.(array int) and names = Alcotest.(list string) in
+  let check_old p =
+    Alcotest.(check bool) "old b" true (Program.find_te_exn p "b" == b);
+    Alcotest.check shapes "old b shape" [| 4 |] (shape p "b");
+    Alcotest.check names "old consumers of a" [ "b"; "c" ] (consumer_names p "a");
+    Alcotest.check names "old consumers of b" [] (consumer_names p "b")
+  in
+  check_old p;
+  (* same name, new shape; c now reads b instead of a *)
+  let b' =
+    Builder.reshape ~name:"b" ~in_shape:[| 4 |] ~out_shape:[| 2; 2 |] "a"
+  in
+  let c' = Builder.unary ~name:"c" ~shape:[| 2; 2 |] Neg "b" in
+  let p' = { p with Program.tes = [ a; b'; c' ] } in
+  Alcotest.(check bool) "new b" true (Program.find_te_exn p' "b" == b');
+  Alcotest.check shapes "new b shape" [| 2; 2 |] (shape p' "b");
+  Alcotest.check names "new consumers of a" [ "b" ] (consumer_names p' "a");
+  Alcotest.check names "new consumers of b" [ "c" ] (consumer_names p' "b");
+  check_old p
+
 let test_live_after () =
   let i = ("x", { Program.shape = [| 4 |]; dtype = Dtype.F32 }) in
   let a = Builder.unary ~name:"a" ~shape:[| 4 |] Relu "x" in
@@ -200,6 +234,8 @@ let suite =
     Alcotest.test_case "validate rv in compute" `Quick test_validate_catches_rv_in_compute;
     Alcotest.test_case "program validate topo" `Quick test_program_validate_topo;
     Alcotest.test_case "program deps" `Quick test_program_deps;
+    Alcotest.test_case "program index generations" `Quick
+      test_program_index_generations;
     Alcotest.test_case "live after" `Quick test_live_after;
     Alcotest.test_case "arith ops" `Quick test_arith_ops;
     Alcotest.test_case "f16 rounding" `Quick test_f16_rounding_applied;

@@ -15,7 +15,9 @@ let check_equiv ?(rtol = 1e-4) name a b =
 
 (* --- vertical ------------------------------------------------------- *)
 
-(* Fig. 4's example: relu -> strided_slice -> permute collapses to one TE. *)
+(* Fig. 4's example: relu -> strided_slice -> permute collapses to one TE.
+   The fused TE reads A[2j, i]: D[3,1] = C[1,3] = B[2,3] = relu(A[2,3]).
+   The paper's figure states A[j, 2i], a typo. *)
 let fig4_program () =
   let a = input "A" [| 4; 8 |] in
   let b = Builder.unary ~name:"B" ~shape:[| 4; 8 |] Relu "A" in

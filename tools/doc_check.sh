@@ -2,7 +2,8 @@
 # Doc honesty check for `dune build @doc-check`:
 #  - every source-file path a documentation file cites (backtick-quoted
 #    `lib/...ml`, `bin/...`, etc.) must still exist — a cited
-#    `bench/X.exe` or `examples/X.exe` needs its `X.ml` — and
+#    `bench/X.exe` or `examples/X.exe` needs its `X.ml` — and so must
+#    every cited repo directory (`lib/serve/`, `lib/te`), and
 #  - every long CLI flag (`--foo-bar`) a documentation file mentions must
 #    appear in the help corpus (the concatenated `--help=plain` output of
 #    every souffle subcommand, plus the flags the bench driver parses by
@@ -40,6 +41,15 @@ for doc in "$@"; do
     esac
     if [ ! -f "$root/$src" ]; then
       echo "doc-check: $doc cites $path, which does not exist" >&2
+      status=1
+    fi
+  done
+  # backtick-quoted repo directories, e.g. `lib/serve/` or `lib/te`
+  dirs=$(grep -oE '`(lib|bin|bench|test|tools|examples|docs)(/[A-Za-z0-9_-]+)*/?`' "$doc" \
+    | tr -d '`' | sort -u)
+  for dir in $dirs; do
+    if [ ! -e "$root/$dir" ]; then
+      echo "doc-check: $doc cites $dir, which does not exist" >&2
       status=1
     fi
   done
